@@ -114,7 +114,8 @@ usage()
            "trace-event\n"
            "                                      timeline (Perfetto / "
            "about:tracing)\n"
-           "  --spec <general|sentinel>           OS speculation model\n"
+           "  --spec <general|sentinel>           OS deferral policy for\n"
+           "                                      wild speculative loads\n"
            "  --profile-on-ref                    train on the ref input\n"
            "  --no-peel --no-pointer-analysis --conservative-hb\n"
            "  --inject <seed>                     corrupt IR at pass\n"
@@ -222,7 +223,7 @@ reportViolations(const std::vector<std::string> &violations)
  * invariant under --jobs.
  */
 int
-runAll(RunOptions &opts, const std::vector<Config> &configs,
+runAll(RunOptions &opts, bool supervise, const std::vector<Config> &configs,
        bool pass_stats, const std::string &json_path,
        const std::string &samples_path)
 {
@@ -230,7 +231,7 @@ runAll(RunOptions &opts, const std::vector<Config> &configs,
 
     // Fleet supervision: durable manifest sidecar + cooperative stop.
     RunManifest manifest;
-    if (opts.supervise && !json_path.empty()) {
+    if (supervise && !json_path.empty()) {
         const std::string mpath = json_path + ".manifest";
         const size_t loaded = manifest.open(mpath);
         if (opts.resume && loaded)
@@ -239,7 +240,7 @@ runAll(RunOptions &opts, const std::vector<Config> &configs,
                     mpath.c_str());
         opts.manifest = &manifest;
     }
-    if (opts.supervise)
+    if (supervise)
         installStopSignalHandlers();
 
     std::vector<WorkloadRuns> suite = runSuite(configs, opts);
@@ -355,6 +356,10 @@ main(int argc, char **argv)
     double inject_rate = 1.0;
     AnalysisMode analysis_mode = envAnalysisMode();
     std::string json_path, trace_path, samples_path;
+    // Any supervision flag arms the fleet supervisor's policy, with the
+    // flags applied on top of it.
+    bool supervise = false;
+    SupervisionOptions sup = SupervisionOptions::supervised();
 
     // Option values are parsed strictly (support/cli.h): a flag typo or
     // a non-numeric value is fatal, never a silent benchmark name or a
@@ -401,11 +406,11 @@ main(int argc, char **argv)
         } else if (a == "--spec") {
             std::string m = value_of(i, a);
             if (m == "sentinel")
-                opts.spec_model = SpecModel::Sentinel;
+                opts.deferral = DeferralPolicy::Sentinel;
             else if (m == "general")
-                opts.spec_model = SpecModel::General;
+                opts.deferral = DeferralPolicy::General;
             else
-                epic_fatal("--spec: unknown model '", m, "'");
+                epic_fatal("--spec: unknown policy '", m, "'");
         } else if (a == "--profile-on-ref") {
             opts.profile_input = InputKind::Ref;
         } else if (a == "--no-peel") {
@@ -425,47 +430,41 @@ main(int argc, char **argv)
             inject_analysis = true;
         } else if (a == "--inject-sim") {
             inject_sim = true;
-            opts.supervise = true;
+            supervise = true;
         } else if (a == "--deadline-ms") {
-            opts.supervision.deadline_ms =
-                parseIntFlag("--deadline-ms", value_of(i, a), 1,
-                             INT64_MAX);
-            opts.supervise = true;
+            sup.deadline_ms = parseIntFlag("--deadline-ms", value_of(i, a),
+                                           1, INT64_MAX);
+            supervise = true;
         } else if (a == "--max-instrs") {
-            opts.supervision.max_instrs = static_cast<uint64_t>(
-                parseIntFlag("--max-instrs", value_of(i, a), 1,
-                             INT64_MAX));
-            opts.supervise = true;
+            sup.max_instrs = static_cast<uint64_t>(parseIntFlag(
+                "--max-instrs", value_of(i, a), 1, INT64_MAX));
+            supervise = true;
         } else if (a == "--max-cycles") {
-            opts.supervision.max_cycles = static_cast<uint64_t>(
-                parseIntFlag("--max-cycles", value_of(i, a), 1,
-                             INT64_MAX));
-            opts.supervise = true;
+            sup.max_cycles = static_cast<uint64_t>(parseIntFlag(
+                "--max-cycles", value_of(i, a), 1, INT64_MAX));
+            supervise = true;
         } else if (a == "--max-depth") {
-            opts.supervision.max_depth = static_cast<int>(
-                parseIntFlag("--max-depth", value_of(i, a), 1,
-                             1 << 20));
-            opts.supervise = true;
+            sup.max_depth = static_cast<int>(parseIntFlag(
+                "--max-depth", value_of(i, a), 1, 1 << 20));
+            supervise = true;
         } else if (a == "--max-mem-pages") {
-            opts.supervision.max_mem_pages = static_cast<uint64_t>(
-                parseIntFlag("--max-mem-pages", value_of(i, a), 1,
-                             INT64_MAX));
-            opts.supervise = true;
+            sup.max_mem_pages = static_cast<uint64_t>(parseIntFlag(
+                "--max-mem-pages", value_of(i, a), 1, INT64_MAX));
+            supervise = true;
         } else if (a == "--retries") {
-            opts.supervision.max_attempts = static_cast<int>(
+            sup.max_attempts = static_cast<int>(
                 parseIntFlag("--retries", value_of(i, a), 1, 100));
-            opts.supervise = true;
+            supervise = true;
         } else if (a == "--no-ladder") {
-            opts.supervision.ladder = false;
-            opts.supervise = true;
+            sup.ladder = false;
+            supervise = true;
         } else if (a == "--checkpoint-every") {
-            opts.supervision.checkpoint_every = static_cast<uint64_t>(
-                parseIntFlag("--checkpoint-every", value_of(i, a), 1,
-                             INT64_MAX));
-            opts.supervise = true;
+            sup.checkpoint_every = static_cast<uint64_t>(parseIntFlag(
+                "--checkpoint-every", value_of(i, a), 1, INT64_MAX));
+            supervise = true;
         } else if (a == "--resume") {
             opts.resume = true;
-            opts.supervise = true;
+            supervise = true;
         } else if (a == "--only") {
             std::string list = value_of(i, a);
             size_t pos = 0;
@@ -521,6 +520,8 @@ main(int argc, char **argv)
             epic_fatal("unknown option '", a, "' (see --help)");
         }
     }
+    if (supervise)
+        opts.supervision = sup;
     FaultInjector injector(inject_seed, inject_rate);
     if (inject_analysis)
         injector.enableAnalysisFaults(true);
@@ -593,7 +594,8 @@ main(int argc, char **argv)
         if (with_ds)
             cfgs.push_back(Config::IlpCsDs);
         return finish(
-            runAll(opts, cfgs, pass_stats, json_path, samples_path));
+            runAll(opts, supervise, cfgs, pass_stats, json_path,
+                   samples_path));
     }
 
     const Workload *w = findWorkload(bench);
@@ -607,7 +609,7 @@ main(int argc, char **argv)
         return finish(1);
     }
 
-    if (opts.supervise) {
+    if (supervise) {
         installStopSignalHandlers();
         // Source-truth checksum, so the supervisor's validation-aware
         // retry catches silent corruption in single-run mode too (the
@@ -624,7 +626,7 @@ main(int argc, char **argv)
     ConfigRun r = runConfig(*w, cfg, opts);
     if (!r.fallback.clean())
         printf("%s\n", r.fallback.str().c_str());
-    if (opts.supervise && r.sim_attempts > 0)
+    if (supervise && r.sim_attempts > 0)
         printf("supervision: %s after %d attempt(s), status %s%s\n",
                r.sim_rung, r.sim_attempts, runStatusName(r.sim_status),
                r.ckpt_instrs

@@ -32,11 +32,11 @@ main()
 
     for (const Workload &w : allWorkloads()) {
         RunOptions gen_opts;
-        gen_opts.spec_model = SpecModel::General;
+        gen_opts.deferral = DeferralPolicy::General;
         ConfigRun gen = runConfig(w, Config::IlpCs, gen_opts);
 
         RunOptions sent_opts;
-        sent_opts.spec_model = SpecModel::Sentinel;
+        sent_opts.deferral = DeferralPolicy::Sentinel;
         ConfigRun sent = runConfig(w, Config::IlpCs, sent_opts);
 
         if (!gen.ok || !sent.ok) {

@@ -93,41 +93,6 @@ BM_TimingSimSampled(benchmark::State &state)
 BENCHMARK(BM_TimingSimSampled)->Unit(benchmark::kMillisecond);
 
 /**
- * Fused-kernel dispatch microbenchmark: arg 0 runs the specialized
- * issue-group kernels (production default), arg 1 forces every group
- * through the generic fallback. bench_compare.py gates the /0 variant;
- * the /1 variant exists so a regression can be attributed to the
- * kernels themselves rather than the surrounding loop.
- */
-void
-BM_TimingSimFused(benchmark::State &state)
-{
-    const Workload *w = findWorkload("164.gzip");
-    auto prog = w->build();
-    prog->layoutData();
-    {
-        Memory mem;
-        mem.initFromProgram(*prog);
-        w->write_input(*prog, mem, InputKind::Train);
-        profileRun(*prog, mem);
-    }
-    Compiled c = compileProgram(*prog, Config::IlpCs);
-    TimingOptions topts;
-    topts.force_generic_kernels = state.range(0) != 0;
-    uint64_t ops = 0;
-    for (auto _ : state) {
-        Memory mem;
-        mem.initFromProgram(*c.prog);
-        w->write_input(*c.prog, mem, InputKind::Ref);
-        auto r = simulate(*c.prog, mem, topts);
-        ops = r.pm.useful_ops;
-        benchmark::DoNotOptimize(r.ret_value);
-    }
-    state.SetItemsProcessed(state.iterations() * ops);
-}
-BENCHMARK(BM_TimingSimFused)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-/**
  * Fast-forward sampled mode at the CI cross-validation parameters
  * (DESIGN.md §18). Items processed counts *all* retired ops — the
  * fast-forwarded ones included — so the ops/s rate is directly

@@ -103,20 +103,21 @@ main()
             profileRun(src, mem);
         }
         Compiled c = compileProgram(src, Config::IlpCs);
-        for (SpecModel model :
-             {SpecModel::General, SpecModel::Sentinel}) {
+        for (DeferralPolicy policy :
+             {DeferralPolicy::General, DeferralPolicy::Sentinel}) {
             Memory mem;
             mem.initFromProgram(*c.prog);
             writeNodes(*c.prog, mem, frac);
             TimingOptions topts;
-            topts.spec_model = model;
+            topts.deferral = policy;
             auto r = simulate(*c.prog, mem, topts);
             if (!r.ok) {
                 printf("simulation failed: %s\n", r.error.c_str());
                 return 1;
             }
             printf("%-14.2f %-10s %-12llu %-12llu %-10llu\n", frac,
-                   model == SpecModel::General ? "general" : "sentinel",
+                   policy == DeferralPolicy::General ? "general"
+                                                     : "sentinel",
                    (unsigned long long)r.pm.wild_loads,
                    (unsigned long long)r.pm.get(CycleCat::Kernel),
                    (unsigned long long)r.pm.total());

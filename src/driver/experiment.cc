@@ -78,8 +78,8 @@ manifestKey(const Workload &w, Config cfg, const RunOptions &o)
 {
     uint64_t h = fnv1a(kRunSchemaVersion);
     h = fnv1a(w.signature, h);
-    h = fnv1a(o.spec_model == SpecModel::Sentinel ? "sentinel"
-                                                  : "general",
+    h = fnv1a(o.deferral == DeferralPolicy::Sentinel ? "sentinel"
+                                                      : "general",
               h);
     h = fnv1a(std::to_string(static_cast<int>(o.profile_input)), h);
     h = fnv1a(std::to_string(static_cast<int>(o.run_input)), h);
@@ -138,10 +138,12 @@ buildImage(const Workload &w, const Program &prog, Memory &mem,
 }
 
 /**
- * Supervised simulation of a compiled program: budgets + deadline,
- * validation-aware bounded retry of the detailed sim, then the
- * degradation ladder (functional-only, then skip-with-record) —
- * mirroring the compile firewall's rung discipline at the sim layer.
+ * The one simulation path of a compiled program, run under the task's
+ * supervision policy: budgets + deadline, validation-aware bounded
+ * retry of the detailed sim, then the degradation ladder
+ * (functional-only, then skip-with-record) — mirroring the compile
+ * firewall's rung discipline at the sim layer. The default policy
+ * (one attempt, no ladder) is a plain detailed run.
  */
 void
 superviseSim(const Workload &w, Config cfg, const RunOptions &opts,
@@ -151,7 +153,7 @@ superviseSim(const Workload &w, Config cfg, const RunOptions &opts,
     SupervisionScope scope(sup.deadline_ms > 0);
 
     TimingOptions base;
-    base.spec_model = opts.spec_model;
+    base.deferral = opts.deferral;
     if (sup.max_cycles)
         base.max_cycles = sup.max_cycles;
     if (sup.max_depth)
@@ -343,38 +345,7 @@ runConfig(const Workload &w, Config cfg, const RunOptions &opts)
     out.instrs_final = c.instrs_final;
 
     TraceSpan sim_span("experiment.phase", phase_label("simulate"));
-    if (opts.supervise) {
-        superviseSim(w, cfg, opts, *c.prog, out);
-        out.prog = std::shared_ptr<Program>(std::move(c.prog));
-        return out;
-    }
-
-    Memory mem;
-    mem.initFromProgram(*c.prog);
-    w.write_input(*c.prog, mem, opts.run_input);
-    TimingOptions topts;
-    topts.spec_model = opts.spec_model;
-    topts.pmu = opts.pmu;
-    topts.sim_mode = opts.sim_mode;
-    topts.ff_functional = opts.ff_functional;
-    topts.detail_window = opts.detail_window;
-    if (opts.alat_entries)
-        topts.mach.alat_entries = *opts.alat_entries;
-    if (opts.alat_assoc)
-        topts.mach.alat_assoc = *opts.alat_assoc;
-    auto r = simulate(*c.prog, mem, topts);
-    out.sim_attempts = 1;
-    if (!r.ok) {
-        out.sim_status = r.status;
-        out.error = std::string(configName(cfg)) +
-                    " simulation failed: " + r.error;
-        return out;
-    }
-    out.ok = true;
-    out.checksum = r.ret_value;
-    out.pm = std::move(r.pm);
-    out.pmu = std::move(r.pmu);
-    out.sampled = r.sampled;
+    superviseSim(w, cfg, opts, *c.prog, out);
     out.prog = std::shared_ptr<Program>(std::move(c.prog));
     return out;
 }
@@ -450,10 +421,10 @@ runWorkload(const Workload &w, const std::vector<Config> &configs,
         out.source_checksum = r.ret_value;
     }
 
-    // Supervised runs validate every accepted result against the
-    // source truth (silent-corruption detection drives retry).
+    // Validating runs check every accepted result against the source
+    // truth (silent-corruption detection drives retry).
     RunOptions wopts = opts;
-    if (opts.supervise)
+    if (opts.supervision.validate)
         wopts.expected_checksum = out.source_checksum;
 
     // Configurations are independent (each builds its own profiled

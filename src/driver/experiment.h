@@ -28,7 +28,8 @@ class RunManifest;
 /** Options for a workload run. */
 struct RunOptions
 {
-    SpecModel spec_model = SpecModel::General;
+    /// OS deferral policy for wild speculative loads (sim/timing.h).
+    DeferralPolicy deferral = DeferralPolicy::General;
     InputKind profile_input = InputKind::Train;
     InputKind run_input = InputKind::Ref;
     /// Worker threads for the workload x config fan-out (and, via
@@ -40,15 +41,15 @@ struct RunOptions
     std::function<void(CompileOptions &)> tweak;
 
     // ---- Run supervision (support/supervision/supervise.h) ----
-    /// Arm the supervision layer: budgets/deadline below, validation-
-    /// aware bounded retry, and the sim degradation ladder. Off by
-    /// default — the legacy single-attempt behaviour (and its artifact
-    /// bytes) are completely unchanged.
-    bool supervise = false;
+    /// Budgets/deadline, bounded retry and the sim degradation ladder.
+    /// Every run goes through the one supervised sim path; the default
+    /// policy is a single unvalidated attempt with no ladder, and
+    /// SupervisionOptions::supervised() arms the fleet supervisor.
     SupervisionOptions supervision;
     /// Known-good architected checksum for this workload (set by
-    /// runWorkload from the source-truth run): a supervised detailed
-    /// sim whose result disagrees is treated as Faulted and retried.
+    /// runWorkload from the source-truth run when supervision.validate
+    /// is on): a detailed sim whose result disagrees is treated as
+    /// Faulted and retried.
     std::optional<int64_t> expected_checksum;
     /// Sim-layer chaos injection (FaultInjector::simPlan); null = off.
     /// Faults are applied to the first attempt only (transient model).

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "driver/compiler.h"
-#include "ilp/specmodel.h"
 #include "ir/function.h"
 
 namespace epic {
@@ -214,19 +213,27 @@ makeRegistry()
     // Speculation hoists loads and inserts check code but never adds
     // or removes an edge, so dominance and loop structure survive; the
     // Cfg object dies (insertions shift its per-edge branch indices).
-    // One gated pass per registered model, registry order (control
-    // speculation first, so it never sees ld.a/chk.a).
-    for (const SpeculationModel *m : speculationModels()) {
-        reg.push_back({m->passName(),
-                       [m](Config rung, const CompileOptions &) {
-                           return m->enabledAt(rung);
-                       },
-                       [m](Function &f, Config, const CompileOptions &opts,
-                           AnalysisManager &am, CompileStats &s) {
-                           s.spec += m->run(f, am, opts.spec_opts);
-                       },
-                       true, true, kPreserveGraphShape});
-    }
+    // Control speculation runs first, so it never sees ld.a/chk.a.
+    reg.push_back({"speculate",
+                   [](Config rung, const CompileOptions &) {
+                       return rung == Config::IlpCs ||
+                              rung == Config::IlpCsDs;
+                   },
+                   [](Function &f, Config, const CompileOptions &opts,
+                      AnalysisManager &am, CompileStats &s) {
+                       s.spec += speculateFunction(f, am, opts.spec_opts);
+                   },
+                   true, true, kPreserveGraphShape});
+    reg.push_back({"dataspec",
+                   [](Config rung, const CompileOptions &) {
+                       return rung == Config::IlpCsDs;
+                   },
+                   [](Function &f, Config, const CompileOptions &opts,
+                      AnalysisManager &am, CompileStats &s) {
+                       s.spec +=
+                           dataSpeculateFunction(f, am, opts.spec_opts);
+                   },
+                   true, true, kPreserveGraphShape});
 
     // Register allocation renames operands and inserts spill code:
     // instruction-level analyses die, and so does the Cfg (spill

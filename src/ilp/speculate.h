@@ -13,8 +13,12 @@
  *     consumed only under the same guard loses its guard, freeing it
  *     from the compare's dependence. Promoted loads execute on paths
  *     where their address may be garbage — the source of the paper's
- *     "wild loads" (§4.3) whose cost depends on the OS speculation
- *     model.
+ *     "wild loads" (§4.3) whose cost depends on the OS deferral
+ *     policy.
+ *
+ * Data speculation (ld.a/chk.a, the ILP-CS-DS rung) lives here too; the
+ * pipeline registers the two as the gated "speculate" and "dataspec"
+ * passes.
  */
 #ifndef EPIC_ILP_SPECULATE_H
 #define EPIC_ILP_SPECULATE_H
@@ -32,7 +36,7 @@ struct SpecOptions
     bool enable_promotion = true;
     /// Maximum side-exit branches an instruction may hoist across.
     int max_cross_branches = 3;
-    /// Data speculation (ilp/specmodel.h): maximum loads advanced to
+    /// Data speculation (dataSpeculateFunction): maximum loads advanced to
     /// ld.a per block, bounding ALAT pressure.
     int max_advanced_per_block = 4;
 };
@@ -71,6 +75,19 @@ SpecStats speculateFunction(Function &f, AnalysisManager &am,
 
 /** Apply to every non-library function. */
 SpecStats speculateProgram(Program &prog, const SpecOptions &opts = {});
+
+/**
+ * Apply data speculation to one function (ilp/dataspec.cc): plain
+ * unguarded loads whose only obstacle to upward motion is crossing
+ * stores become ld.a at the hoisted position plus chk.a at the original
+ * site (same destination, address register and access size). Register
+ * dependences (RAW on the address, WAR/WAW on the destination) and
+ * control fences (branches, calls, returns, alloc) still stop the
+ * motion, and a per-block budget (SpecOptions::max_advanced_per_block)
+ * bounds ALAT pressure.
+ */
+SpecStats dataSpeculateFunction(Function &f, AnalysisManager &am,
+                                const SpecOptions &opts = {});
 
 } // namespace epic
 

@@ -122,55 +122,6 @@ isCtlOp(const DecodedInstr &d)
            (d.flags & (kDecCall | kDecRet)) != 0;
 }
 
-/**
- * Structural kernel-shape classification of one issue group (members
- * in group order). Conservative: anything not provably admitted by a
- * specialized shape stays Generic, which is always legal.
- */
-uint8_t
-classifyGroup(const DecodedInstr *members, size_t n)
-{
-    int nloads = 0;
-    int nbranches = 0;
-    bool guard = false, store = false, other_ctl = false, br_last = false;
-    for (size_t i = 0; i < n; ++i) {
-        const DecodedInstr &d = members[i];
-        if (d.flags & kDecHasGuard)
-            guard = true;
-        if (d.flags & kDecLoad)
-            ++nloads;
-        if (d.flags & kDecStore)
-            store = true;
-        if ((d.flags & (kDecCall | kDecRet)) || d.op == Opcode::CHK_S)
-            other_ctl = true;
-        // ALAT bookkeeping (allocate / check / recovery accounting) lives
-        // only in the Generic detailed kernel, so advanced-load groups must
-        // never be admitted by LoadAlu even though ld.a/chk.a decode as
-        // loads.
-        if (d.op == Opcode::LD_A || d.op == Opcode::CHK_A)
-            other_ctl = true;
-        if (d.op == Opcode::BR) {
-            ++nbranches;
-            br_last = i + 1 == n;
-        }
-    }
-    if (other_ctl || nbranches > 1)
-        return kKernelGeneric;
-    if (nbranches == 1) {
-        // Branch-terminated: the BR must be the trailing member so the
-        // kernel can treat everything before it as straight-line.
-        return (br_last && nloads == 0 && !store) ? kKernelBranchTerm
-                                                  : kKernelGeneric;
-    }
-    if (guard)
-        return kKernelGeneric;
-    if (nloads == 0 && !store)
-        return kKernelAllAlu;
-    if (nloads == 1 && !store)
-        return kKernelLoadAlu;
-    return kKernelGeneric;
-}
-
 } // namespace
 
 DecodedProgram
@@ -275,12 +226,6 @@ DecodedProgram::build(const Program &prog, bool want_order,
                         df.gaddr_pool_.push_back(a);
                     for (uint64_t l : gi.lines)
                         df.gline_pool_.push_back(l);
-                    dg.kernel =
-                        gi.ops.empty()
-                            ? static_cast<uint8_t>(kKernelAllAlu)
-                            : classifyGroup(df.gdinstr_pool_.data() +
-                                                dg.op_off,
-                                            gi.ops.size());
                     df.group_pool_.push_back(dg);
                 }
             }

@@ -111,28 +111,6 @@ struct GroupInfo
 std::vector<GroupInfo> buildGroups(const BasicBlock &b);
 
 /**
- * Kernel shape of one issue group. The timing decode classifies every
- * group once at predecode time; the timing loop then dispatches once
- * per group into the matching precompiled template kernel
- * (timing.cc), which hoists the guard/memory/control machinery the
- * shape provably never needs. Classification is purely structural
- * (opcode + flag scan over the members), so a shape is a *legality*
- * statement: every specialized kernel must be observationally
- * identical to the generic fallback on the groups its shape admits —
- * fusion changes dispatch, never accounting (DESIGN.md §18).
- *
- * Generic is 0 so a zero-initialized descriptor takes the
- * always-correct fallback.
- */
-enum KernelShape : uint8_t {
-    kKernelGeneric = 0, ///< fallback: full per-op semantics
-    kKernelAllAlu,      ///< no guards, no memory, no control transfers
-    kKernelLoadAlu,     ///< exactly one load + ALU; no guards/stores/ctl
-    kKernelBranchTerm,  ///< guarded ALU terminated by one trailing BR
-    kNumKernelShapes,
-};
-
-/**
  * One issue group, flattened: spans into the per-function pools
  * (DecodedFunction::gop/gaddr/gline pools). A group averages only a
  * few ops, so keeping each group's members in three small heap vectors
@@ -146,7 +124,6 @@ struct DecodedGroup
     uint16_t nops = 0;     ///< executable member count
     uint16_t nnops = 0;    ///< explicit NOP slots in the group
     uint16_t nlines = 0;   ///< distinct I-cache lines touched
-    uint8_t kernel = kKernelGeneric; ///< KernelShape (fits padding hole)
     uint32_t attr_union = 0; ///< OR of member provenance attrs
 };
 
@@ -268,7 +245,7 @@ class DecodedProgram
 
 namespace detail {
 
-/** Decoded-operand counterpart of evalGr. */
+/** Evaluate a Gr-or-immediate decoded source operand. */
 inline GrVal
 evalGrDec(const Program &prog, const Frame &f, const DecodedOp &o)
 {
@@ -286,7 +263,7 @@ evalGrDec(const Program &prog, const Frame &f, const DecodedOp &o)
     }
 }
 
-/** Decoded-operand counterpart of evalFr. */
+/** Evaluate an Fr-or-immediate decoded source operand. */
 inline double
 evalFrDec(const Frame &f, const DecodedOp &o)
 {
@@ -304,11 +281,9 @@ evalFrDec(const Frame &f, const DecodedOp &o)
 } // namespace detail
 
 /**
- * Execute one predecoded instruction — semantically identical to
- * execInstr() on the original IR instruction (same Effect, same traps),
- * but reading the flattened DecodedInstr record. This is the kernel
- * both simulators run per dynamic instruction; keep the two in lockstep
- * when touching either.
+ * Execute one predecoded instruction: the single ISA-semantics kernel
+ * both simulators run per dynamic instruction (sim/exec_core.h lists
+ * the NaT-deferral rules it implements).
  *
  * `KnownOp` lets a caller whose dispatch already established the opcode
  * (the interpreter's threaded loop) instantiate a per-opcode kernel: the

@@ -1,11 +1,13 @@
 /**
  * @file
- * Shared instruction-execution core.
+ * Shared architected state of both simulators: register frames, the
+ * per-instruction Effect record and the operand/ALU helpers of the one
+ * execution kernel, execDecodedImpl() in sim/decode.h.
  *
- * Both the functional interpreter (profiling, semantic checks) and the
- * timing simulator execute instructions through this one implementation,
- * so architected semantics cannot drift between them. The core implements
- * IA-64-style NaT (not-a-thing) deferral for control-speculative loads:
+ * The functional interpreter (profiling, semantic checks) and the timing
+ * simulator execute every instruction through that kernel, so architected
+ * semantics cannot drift between them. It implements IA-64-style NaT
+ * (not-a-thing) deferral for control-speculative loads:
  * a speculative load to the NULL page or an unmapped page writes NaT; NaT
  * propagates through consumers; compares with NaT inputs clear their
  * destination predicates; chk.s branches to recovery when it sees NaT;
@@ -172,21 +174,6 @@ evalGr(const Program &prog, const Frame &f, const Operand &o)
     }
 }
 
-inline double
-evalFr(const Frame &f, const Operand &o)
-{
-    switch (o.kind) {
-      case Operand::Kind::Reg:
-        return f.fr[o.reg.id];
-      case Operand::Kind::FImm:
-        return o.fimm;
-      case Operand::Kind::Imm:
-        return static_cast<double>(o.imm);
-      default:
-        epic_panic("bad Fr operand kind");
-    }
-}
-
 inline bool
 cmpEval(CmpCond cond, int64_t a, int64_t b)
 {
@@ -262,363 +249,6 @@ aluEval(Opcode op, int64_t a, int64_t b, Effect &eff)
 }
 
 } // namespace detail
-
-/**
- * Execute one instruction in `frame` against `mem`.
- *
- * Header-inline: this is the per-instruction kernel of both simulators
- * and must fold into their dispatch loops (it runs tens of millions of
- * times per benchmark run).
- *
- * @param prog The program (for symbol address and callee resolution).
- * @param inst The instruction.
- * @param frame Current activation.
- * @param mem Program memory.
- * @return Effects (control transfer, memory observation, trap).
- */
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((always_inline))
-#endif
-inline Effect
-execInstr(const Program &prog, const Instruction &inst, Frame &frame,
-          Memory &mem)
-{
-    using detail::evalGr;
-    using detail::evalFr;
-
-    Effect eff;
-    const bool guard_true = frame.readPr(inst.guard);
-
-    // Unc-type compares write their destinations even when the guard is
-    // false; everything else is fully squashed.
-    const bool is_cmp = inst.op == Opcode::CMP || inst.op == Opcode::CMPI ||
-                        inst.op == Opcode::FCMP;
-    if (!guard_true) {
-        if (is_cmp && inst.ctype == CmpType::Unc) {
-            frame.writePr(inst.dests[0], false);
-            frame.writePr(inst.dests[1], false);
-        }
-        return eff;
-    }
-    eff.executed = true;
-
-    switch (inst.op) {
-      case Opcode::MOV:
-      case Opcode::MOVI:
-      case Opcode::MOVA:
-      case Opcode::MOVFN:
-        frame.writeGr(inst.dests[0], evalGr(prog, frame, inst.srcs[0]));
-        break;
-
-      case Opcode::MOVP:
-        frame.writePr(inst.dests[0], inst.srcs[0].imm != 0);
-        break;
-
-      case Opcode::ADD: case Opcode::SUB: case Opcode::AND:
-      case Opcode::OR: case Opcode::XOR: case Opcode::MUL:
-      case Opcode::DIV: case Opcode::REM: case Opcode::SHL:
-      case Opcode::SHR: case Opcode::SAR:
-      case Opcode::ADDI: case Opcode::SUBI: case Opcode::ANDI:
-      case Opcode::ORI: case Opcode::XORI: case Opcode::SHLI:
-      case Opcode::SHRI: case Opcode::SARI: {
-        GrVal a = evalGr(prog, frame, inst.srcs[0]);
-        GrVal b = evalGr(prog, frame, inst.srcs[1]);
-        if (a.nat || b.nat) {
-            frame.writeGr(inst.dests[0], GrVal{0, true});
-            break;
-        }
-        int64_t r = detail::aluEval(inst.op, a.v, b.v, eff);
-        if (eff.trap)
-            break;
-        frame.writeGr(inst.dests[0], GrVal{r, false});
-        break;
-      }
-
-      case Opcode::SXT: case Opcode::ZXT: {
-        GrVal a = evalGr(prog, frame, inst.srcs[0]);
-        if (a.nat) {
-            frame.writeGr(inst.dests[0], GrVal{0, true});
-            break;
-        }
-        uint64_t u = static_cast<uint64_t>(a.v);
-        int bits = inst.size * 8;
-        uint64_t maskv = bits >= 64 ? ~0ull : ((1ull << bits) - 1);
-        u &= maskv;
-        int64_t r;
-        if (inst.op == Opcode::SXT && bits < 64 &&
-            (u & (1ull << (bits - 1)))) {
-            r = static_cast<int64_t>(u | ~maskv);
-        } else {
-            r = static_cast<int64_t>(u);
-        }
-        frame.writeGr(inst.dests[0], GrVal{r, false});
-        break;
-      }
-
-      case Opcode::CMP:
-      case Opcode::CMPI: {
-        GrVal a = evalGr(prog, frame, inst.srcs[0]);
-        GrVal b = evalGr(prog, frame, inst.srcs[1]);
-        if (a.nat || b.nat) {
-            // IA-64: NaT sources clear the destination pair (norm/unc/and);
-            // or-type leaves destinations unchanged.
-            if (inst.ctype != CmpType::Or) {
-                frame.writePr(inst.dests[0], false);
-                frame.writePr(inst.dests[1], false);
-            }
-            break;
-        }
-        bool c = detail::cmpEval(inst.cond, a.v, b.v);
-        switch (inst.ctype) {
-          case CmpType::Norm:
-          case CmpType::Unc:
-            frame.writePr(inst.dests[0], c);
-            frame.writePr(inst.dests[1], !c);
-            break;
-          case CmpType::And:
-            if (!c) {
-                frame.writePr(inst.dests[0], false);
-                frame.writePr(inst.dests[1], false);
-            }
-            break;
-          case CmpType::Or:
-            if (c) {
-                frame.writePr(inst.dests[0], true);
-                frame.writePr(inst.dests[1], true);
-            }
-            break;
-        }
-        break;
-      }
-
-      case Opcode::FCMP: {
-        double a = evalFr(frame, inst.srcs[0]);
-        double b = evalFr(frame, inst.srcs[1]);
-        bool c = detail::fcmpEval(inst.cond, a, b);
-        frame.writePr(inst.dests[0], c);
-        frame.writePr(inst.dests[1], !c);
-        break;
-      }
-
-      // An advanced load is architecturally a plain load; the ALAT it
-      // allocates is timing-only state. chk.a is an idempotent reload of
-      // the same address into the same destination — the data-spec pass
-      // guarantees neither the address register nor the destination is
-      // touched between the pair, so re-executing the load IS the
-      // recovery (consumers all sit after the check).
-      case Opcode::LD:
-      case Opcode::LD_A:
-      case Opcode::CHK_A: {
-        GrVal a = evalGr(prog, frame, inst.srcs[0]);
-        eff.is_mem = true;
-        eff.is_load = true;
-        eff.size = inst.size;
-        if (a.nat) {
-            if (inst.spec) {
-                // NaT address on a speculative chain: defer.
-                frame.writeGr(inst.dests[0], GrVal{0, true});
-                eff.mem_deferred = true;
-                break;
-            }
-            eff.trap = true;
-            eff.trap_msg = "non-speculative load with NaT address";
-            break;
-        }
-        uint64_t addr = static_cast<uint64_t>(a.v);
-        eff.addr = addr;
-        bool null_page = (addr >> Memory::kPageBits) == 0;
-        uint64_t raw = 0;
-        // Single page lookup resolves "mapped?" and the data together.
-        if (null_page || !mem.tryRead(addr, inst.size, raw)) {
-            if (inst.spec) {
-                frame.writeGr(inst.dests[0], GrVal{0, true});
-                eff.mem_deferred = true;
-                eff.mem_null_page = null_page;
-                eff.mem_wild = !null_page;
-                break;
-            }
-            eff.trap = true;
-            eff.trap_msg = null_page
-                               ? "non-speculative NULL-page access"
-                               : "non-speculative load from unmapped page";
-            break;
-        }
-        // Loads zero-extend like IA-64 ld1/ld2/ld4; full-width as-is.
-        frame.writeGr(inst.dests[0],
-                      GrVal{static_cast<int64_t>(raw), false});
-        break;
-      }
-
-      case Opcode::ST: {
-        GrVal a = evalGr(prog, frame, inst.srcs[0]);
-        GrVal v = evalGr(prog, frame, inst.srcs[1]);
-        eff.is_mem = true;
-        eff.size = inst.size;
-        if (a.nat || v.nat) {
-            eff.trap = true;
-            eff.trap_msg = "store consumed NaT";
-            break;
-        }
-        uint64_t addr = static_cast<uint64_t>(a.v);
-        eff.addr = addr;
-        if ((addr >> Memory::kPageBits) == 0 ||
-            !mem.tryWrite(addr, static_cast<uint64_t>(v.v), inst.size)) {
-            eff.trap = true;
-            eff.trap_msg = "store to unmapped page";
-            break;
-        }
-        break;
-      }
-
-      case Opcode::LDF: {
-        GrVal a = evalGr(prog, frame, inst.srcs[0]);
-        eff.is_mem = true;
-        eff.is_load = true;
-        eff.size = 8;
-        if (a.nat) {
-            eff.trap = true;
-            eff.trap_msg = "ldf with NaT address";
-            break;
-        }
-        uint64_t addr = static_cast<uint64_t>(a.v);
-        eff.addr = addr;
-        uint64_t raw = 0;
-        if ((addr >> Memory::kPageBits) == 0 ||
-            !mem.tryRead(addr, 8, raw)) {
-            eff.trap = true;
-            eff.trap_msg = "ldf from unmapped page";
-            break;
-        }
-        double d;
-        static_assert(sizeof(d) == sizeof(raw));
-        __builtin_memcpy(&d, &raw, 8);
-        frame.fr[inst.dests[0].id] = d;
-        break;
-      }
-
-      case Opcode::STF: {
-        GrVal a = evalGr(prog, frame, inst.srcs[0]);
-        double v = evalFr(frame, inst.srcs[1]);
-        eff.is_mem = true;
-        eff.size = 8;
-        if (a.nat) {
-            eff.trap = true;
-            eff.trap_msg = "stf with NaT address";
-            break;
-        }
-        uint64_t addr = static_cast<uint64_t>(a.v);
-        eff.addr = addr;
-        uint64_t raw;
-        __builtin_memcpy(&raw, &v, 8);
-        if ((addr >> Memory::kPageBits) == 0 ||
-            !mem.tryWrite(addr, raw, 8)) {
-            eff.trap = true;
-            eff.trap_msg = "stf to unmapped page";
-            break;
-        }
-        break;
-      }
-
-      case Opcode::FADD: case Opcode::FSUB: case Opcode::FMUL:
-      case Opcode::FDIV: {
-        double a = evalFr(frame, inst.srcs[0]);
-        double b = evalFr(frame, inst.srcs[1]);
-        double r = 0.0;
-        switch (inst.op) {
-          case Opcode::FADD: r = a + b; break;
-          case Opcode::FSUB: r = a - b; break;
-          case Opcode::FMUL: r = a * b; break;
-          case Opcode::FDIV: r = a / b; break;
-          default: break;
-        }
-        frame.fr[inst.dests[0].id] = r;
-        break;
-      }
-
-      case Opcode::FMA: {
-        double a = evalFr(frame, inst.srcs[0]);
-        double b = evalFr(frame, inst.srcs[1]);
-        double c = evalFr(frame, inst.srcs[2]);
-        frame.fr[inst.dests[0].id] = a * b + c;
-        break;
-      }
-
-      case Opcode::FNEG:
-        frame.fr[inst.dests[0].id] = -evalFr(frame, inst.srcs[0]);
-        break;
-
-      case Opcode::CVTFI: {
-        double a = evalFr(frame, inst.srcs[0]);
-        frame.writeGr(inst.dests[0],
-                      GrVal{static_cast<int64_t>(a), false});
-        break;
-      }
-
-      case Opcode::CVTIF: {
-        GrVal a = evalGr(prog, frame, inst.srcs[0]);
-        if (a.nat) {
-            eff.trap = true;
-            eff.trap_msg = "cvtif consumed NaT";
-            break;
-        }
-        frame.fr[inst.dests[0].id] = static_cast<double>(a.v);
-        break;
-      }
-
-      case Opcode::BR:
-        eff.ctl = Effect::Ctl::Branch;
-        eff.branch_target = inst.target;
-        break;
-
-      case Opcode::BR_CALL:
-        eff.ctl = Effect::Ctl::Call;
-        eff.callee = inst.callee;
-        break;
-
-      case Opcode::BR_ICALL: {
-        GrVal tok = evalGr(prog, frame, inst.srcs[0]);
-        if (tok.nat) {
-            eff.trap = true;
-            eff.trap_msg = "indirect call through NaT token";
-            break;
-        }
-        if (!prog.func(static_cast<int>(tok.v))) {
-            eff.trap = true;
-            eff.trap_msg = "indirect call to bad function token";
-            break;
-        }
-        eff.ctl = Effect::Ctl::Call;
-        eff.callee = static_cast<int>(tok.v);
-        break;
-      }
-
-      case Opcode::BR_RET:
-        eff.ctl = Effect::Ctl::Ret;
-        if (!inst.srcs.empty()) {
-            eff.has_ret_val = true;
-            eff.ret_val = evalGr(prog, frame, inst.srcs[0]);
-        }
-        break;
-
-      case Opcode::CHK_S: {
-        GrVal a = evalGr(prog, frame, inst.srcs[0]);
-        if (a.nat) {
-            eff.ctl = Effect::Ctl::Branch;
-            eff.branch_target = inst.target;
-        }
-        break;
-      }
-
-      case Opcode::ALLOC:
-      case Opcode::NOP:
-        break;
-
-      default:
-        epic_panic("execInstr: unhandled opcode ", inst.info().name);
-    }
-
-    return eff;
-}
 
 } // namespace epic
 

@@ -10,23 +10,18 @@
 #include "support/telemetry/trace.h"
 
 /*
- * The interpreter's hot loop is token-threaded on GCC/Clang: every
- * opcode gets its own handler (a computed-goto label) that inlines a
- * per-opcode specialization of the execution kernel
- * (execDecodedImpl<op>) and then dispatches directly to the next
- * instruction's handler. Compared with the portable loop below, this
- * (a) folds the kernel's opcode switch away per handler, and (b) gives
- * every handler its own indirect jump, so the branch predictor can
- * learn per-opcode successor patterns instead of sharing one
- * always-mispredicting dispatch site.
- *
- * Both loops share the kernel and the per-effect bookkeeping; the
- * portable loop is the reference semantics and the threaded loop must
- * stay observationally identical to it (same counters, same errors,
- * same profile writes).
+ * The interpreter's hot loop is token-threaded: every opcode gets its
+ * own handler (a computed-goto label) that inlines a per-opcode
+ * specialization of the execution kernel (execDecodedImpl<op>) and then
+ * dispatches directly to the next instruction's handler. Compared with
+ * a switch loop, this (a) folds the kernel's opcode switch away per
+ * handler, and (b) gives every handler its own indirect jump, so the
+ * branch predictor can learn per-opcode successor patterns instead of
+ * sharing one always-mispredicting dispatch site. Computed goto is a
+ * GCC/Clang extension, the only compilers the build supports.
  */
-#if defined(__GNUC__) || defined(__clang__)
-#define EPIC_THREADED_INTERP 1
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the threaded interpreter needs computed goto (GCC or Clang)"
 #endif
 
 namespace epic {
@@ -76,7 +71,6 @@ interpret(Program &prog, Memory &mem, const InterpOptions &opts)
     // [0, straight) are fused into one tight span with the budget and
     // block-end checks hoisted out (see EPIC_FUSED_SPAN below).
     uint32_t straight = dfn->block(fn->entry).straight_len;
-    (void)straight;
 
     if (opts.collect_profile) {
         entry_fn->weight += 1;
@@ -132,9 +126,9 @@ interpret(Program &prog, Memory &mem, const InterpOptions &opts)
     // names is popped (it is refreshed on every call and return).
     Frame *frame = &stack.back();
 
-    // Per-effect bookkeeping shared by both loop forms. Ordering
-    // matters and is part of the observable semantics: instruction
-    // counters first, then the trap check, then memory counters.
+    // Per-effect bookkeeping shared by every handler. Ordering matters
+    // and is part of the observable semantics: instruction counters
+    // first, then the trap check, then memory counters.
     auto count_instr = [&](const Effect &eff) {
         ++res.dyn_instrs;
         if (eff.executed)
@@ -259,7 +253,6 @@ interpret(Program &prog, Memory &mem, const InterpOptions &opts)
         return true;
     };
 
-#if EPIC_THREADED_INTERP
     // Handler table, indexed by Opcode. Filled positionally below;
     // keep in enum order (the static_assert pins the count and a
     // mismatch is caught by the decode parity tests).
@@ -498,69 +491,6 @@ interpret(Program &prog, Memory &mem, const InterpOptions &opts)
 #undef EPIC_HANDLER
 #undef EPIC_FUSED_SPAN
 #undef EPIC_DISPATCH
-
-#else // !EPIC_THREADED_INTERP — portable reference loop
-
-    while (true) {
-        if (res.dyn_instrs >= opts.max_instrs) {
-            res.fail(RunStatus::BudgetExceeded,
-                     "dynamic instruction budget exceeded (" +
-                         std::to_string(opts.max_instrs) + " instrs)");
-            return res;
-        }
-
-        // Fall off the end of the block?
-        if (pos >= order_len) {
-            if (bb->fallthrough < 0) {
-                res.fail(RunStatus::Faulted,
-                         "fell off block bb" + std::to_string(bb->id) +
-                             " in " + fn->name);
-                return res;
-            }
-            if (!enter_block(bb->fallthrough))
-                return res;
-            continue;
-        }
-
-        const DecodedInstr &di =
-            dinstrs[order ? static_cast<uint32_t>(order[pos]) : pos];
-        Effect eff = execDecoded(prog, di, *frame, mem);
-
-        count_instr(eff);
-        if (eff.trap) {
-            res.fail(RunStatus::Faulted,
-                     "trap in " + fn->name + " at '" + di.orig->str() +
-                         "': " + eff.trap_msg);
-            return res;
-        }
-        count_mem(eff);
-
-        switch (eff.ctl) {
-          case Effect::Ctl::Next:
-            ++pos;
-            break;
-
-          case Effect::Ctl::Branch:
-            ++res.dyn_branches;
-            if (opts.collect_profile && di.op == Opcode::BR)
-                const_cast<Instruction *>(di.orig)->prof_taken += 1;
-            if (!enter_block(eff.branch_target))
-                return res;
-            break;
-
-          case Effect::Ctl::Call:
-            if (!do_call(eff, di))
-                return res;
-            break;
-
-          case Effect::Ctl::Ret:
-            if (!do_ret(eff))
-                return res;
-            break;
-        }
-    }
-
-#endif // EPIC_THREADED_INTERP
 }
 
 InterpResult

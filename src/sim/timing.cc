@@ -174,23 +174,8 @@ class Dtlb
     std::unordered_map<uint64_t, int> index_;
 };
 
-/** How one fused group kernel left the per-group pipeline. */
+/** How one issue group left the per-group pipeline. */
 enum class GroupExit { Next, Finished, Failed };
-
-/**
- * Kernel-body selectors beyond the KernelShape descriptor values.
- *
- * kTFastForward is the functional phase of sampled mode. kTLean is the
- * shared body for every specialized shape (AllAlu / LoadAlu /
- * BranchTerm): it admits guards, loads and branches but drops the
- * store, call and return machinery. Collapsing the three shapes onto
- * one instantiation keeps the per-group dispatch a single
- * well-predicted specialized-vs-generic branch — a per-shape 4-way
- * switch was measured to cost more in dispatch mispredictions and
- * I-cache footprint than the extra pruning recovered.
- */
-constexpr int kTFastForward = kNumKernelShapes;
-constexpr int kTLean = kNumKernelShapes + 1;
 
 } // namespace
 
@@ -271,21 +256,6 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                 }
                 done = true;
             }
-        }
-    }
-
-    // Injected kernel-descriptor corruption: out-of-range shape byte on
-    // the entry function's first issue group. The dispatch table must
-    // refuse to run it (panic), never fall into a wrong kernel.
-    if (opts.corrupt_kernel_desc) {
-        for (auto &bp : entry_fn->blocks) {
-            if (!bp)
-                continue;
-            const DecodedBlock &dbc = dec.func(entry_fn->id).block(bp->id);
-            if (dbc.ngroups == 0)
-                continue;
-            const_cast<DecodedGroup &>(dbc.groups[0]).kernel = 0x7f;
-            break;
         }
     }
 
@@ -716,36 +686,17 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
     bool alat_corrupt_pending = opts.corrupt_alat;
     uint32_t sup_poll = 0;
 
-    // ---- Fused issue-group kernels (DESIGN.md §18) ----
-    // The whole per-group pipeline lives in one generic lambda,
-    // instantiated once per kernel shape plus a functional
-    // fast-forward variant. `if constexpr` prunes the guard, memory,
-    // control and call machinery a shape provably never exercises
-    // (decode.cc classifyGroup is the legality oracle); the Generic
-    // instantiation enables everything and is statement-for-statement
-    // the historical per-op path, so specialization is a pure dispatch
-    // change — golden counters stay byte-identical in detailed mode.
+    // ---- The per-group pipeline (DESIGN.md §18) ----
+    // One generic lambda, instantiated twice: detailed timing and the
+    // functional fast-forward phase of sampled mode, where `if
+    // constexpr` drops the fetch, scoreboard, hierarchy and predictor
+    // models and keeps only architected execution and op accounting.
     // Supervision, checkpoint, PMU and sampled-phase boundaries all
     // remain in the caller: exactly one boundary poll per group.
-    const bool force_generic = opts.force_generic_kernels;
-    auto run_group = [&](auto shape_c,
+    auto run_group = [&](auto detailed_c,
                          const DecodedGroup &group) -> GroupExit {
-        constexpr int kShape = decltype(shape_c)::value;
         /// Detailed timing vs functional fast-forward (sampled mode).
-        constexpr bool kDetailed = kShape != kTFastForward;
-        /// Members may carry qualifying predicates.
-        constexpr bool kGuards = !kDetailed || kShape == kTLean ||
-                                 kShape == kKernelGeneric;
-        /// Members may load from memory.
-        constexpr bool kLoads = !kDetailed || kShape == kTLean ||
-                                kShape == kKernelGeneric;
-        /// Members may store to memory.
-        constexpr bool kStores = !kDetailed || kShape == kKernelGeneric;
-        /// Members may branch (BR / CHK_S).
-        constexpr bool kCtl = !kDetailed || kShape == kTLean ||
-                              kShape == kKernelGeneric;
-        /// Members may call or return.
-        constexpr bool kCalls = !kDetailed || kShape == kKernelGeneric;
+        constexpr bool kDetailed = decltype(detailed_c)::value;
 
         // Dense group-ordered member records: one linear stream for
         // both the scoreboard and execute walks.
@@ -822,23 +773,17 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
             };
             for (uint16_t mi = 0; mi < group.nops; ++mi) {
                 const DecodedInstr &di = gdi[mi];
-                if constexpr (kGuards) {
-                    if (di.guard.id != 0)
-                        consider(tf.ready_pr[di.guard.id], base, false,
-                                 false);
-                    bool guard_true = frame.readPr(di.guard);
-                    if (!guard_true)
-                        continue; // squashed ops don't stall on operands
-                }
-                if constexpr (kCalls) {
-                    if (di.flags & kDecCall) {
-                        // Call argument lists live on the original
-                        // instruction.
-                        for (const Operand &o : di.orig->srcs)
-                            if (o.isReg())
-                                consider_reg(o.reg);
-                        continue;
-                    }
+                if (di.guard.id != 0)
+                    consider(tf.ready_pr[di.guard.id], base, false, false);
+                if (!frame.readPr(di.guard))
+                    continue; // squashed ops don't stall on operands
+                if (di.flags & kDecCall) {
+                    // Call argument lists live on the original
+                    // instruction.
+                    for (const Operand &o : di.orig->srcs)
+                        if (o.isReg())
+                            consider_reg(o.reg);
+                    continue;
                 }
                 for (uint8_t si = 0; si < di.nsrcs; ++si)
                     if (di.src[si].kind == DecodedOp::K::Reg)
@@ -895,15 +840,10 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                              di.orig->str() + "': " + eff.trap_msg);
                 return GroupExit::Failed;
             }
-            if constexpr (kGuards) {
-                if (eff.executed)
-                    ++pm.useful_ops;
-                else
-                    ++pm.squashed_ops;
-            } else {
-                // No guards in this shape: every op executes.
+            if (eff.executed)
                 ++pm.useful_ops;
-            }
+            else
+                ++pm.squashed_ops;
 
             if constexpr (kDetailed) {
                 // Result timing for executed, non-memory ops.
@@ -915,76 +855,63 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                 bool chk_validated = false;
 
                 // ---- Memory behaviour ----
-                if constexpr (kLoads || kStores) {
-                    if (eff.executed && eff.is_mem) {
-                        if (!kStores || eff.is_load) {
-                            ++pm.loads;
-                            uint64_t page = Memory::pageOf(eff.addr);
-                            int tlb_extra = 0;
-                            if (eff.mem_deferred) {
-                                // Speculative load that deferred to NaT.
-                                if (eff.mem_null_page) {
-                                    ++pm.null_page_loads;
+                if (eff.executed && eff.is_mem) {
+                    if (eff.is_load) {
+                        ++pm.loads;
+                        uint64_t page = Memory::pageOf(eff.addr);
+                        int tlb_extra = 0;
+                        if (eff.mem_deferred) {
+                            // Speculative load that deferred to NaT.
+                            if (eff.mem_null_page) {
+                                ++pm.null_page_loads;
+                                post_penalty += mach.nat_page_cycles;
+                                charge(CycleCat::IntLoadBubble,
+                                       mach.nat_page_cycles);
+                            } else {
+                                ++pm.wild_loads;
+                                if (opts.deferral ==
+                                    DeferralPolicy::General) {
+                                    // Kernel walks the page hierarchy
+                                    // and does not cache the (absent)
+                                    // result.
+                                    post_penalty += mach.os_walk_cycles;
+                                    charge(CycleCat::Kernel,
+                                           mach.os_walk_cycles);
+                                    pm.kernel_ops += static_cast<uint64_t>(
+                                        mach.os_walk_cycles);
+                                } else {
+                                    // Sentinel: defer cheaply at the
+                                    // DTLB; recovery cost is charged at
+                                    // chk.s.
                                     post_penalty += mach.nat_page_cycles;
                                     charge(CycleCat::IntLoadBubble,
                                            mach.nat_page_cycles);
+                                }
+                            }
+                        } else {
+                            // ---- ALAT (data speculation) ----
+                            // A chk.a whose entry survived retires like
+                            // a NOP — no D-cache or TLB traffic, result
+                            // at the planned (hit) latency; a miss
+                            // re-executes the ordinary load path below
+                            // plus the re-steer penalty, so
+                            // AlatRecovery == alat_misses *
+                            // alat_recovery_cycles exactly.
+                            if (__builtin_expect(di.op == Opcode::CHK_A,
+                                                 0)) {
+                                if (alat.check(di.dest0.id, eff.addr,
+                                               di.orig->size)) {
+                                    ++pm.alat_hits;
+                                    chk_validated = true;
                                 } else {
-                                    ++pm.wild_loads;
-                                    if (opts.spec_model ==
-                                        SpecModel::General) {
-                                        // Kernel walks the page
-                                        // hierarchy and does not cache
-                                        // the (absent) result.
-                                        post_penalty +=
-                                            mach.os_walk_cycles;
-                                        charge(CycleCat::Kernel,
-                                               mach.os_walk_cycles);
-                                        pm.kernel_ops +=
-                                            static_cast<uint64_t>(
-                                                mach.os_walk_cycles);
-                                    } else {
-                                        // Sentinel: defer cheaply at the
-                                        // DTLB; recovery cost is charged
-                                        // at chk.s.
-                                        post_penalty +=
-                                            mach.nat_page_cycles;
-                                        charge(CycleCat::IntLoadBubble,
-                                               mach.nat_page_cycles);
-                                    }
+                                    ++pm.alat_misses;
+                                    post_penalty +=
+                                        mach.alat_recovery_cycles;
+                                    charge(CycleCat::AlatRecovery,
+                                           mach.alat_recovery_cycles);
                                 }
-                            } else {
-                                // ---- ALAT (data speculation) ----
-                                // ld.a/chk.a groups classify Generic, so
-                                // the ALAT exists only in this
-                                // instantiation. A chk.a whose entry
-                                // survived retires like a NOP — no
-                                // D-cache or TLB traffic, result at the
-                                // planned (hit) latency; a miss
-                                // re-executes the ordinary load path
-                                // below plus the re-steer penalty, so
-                                // AlatRecovery == alat_misses *
-                                // alat_recovery_cycles exactly.
-                                bool chk_hit = false;
-                                if constexpr (kStores) {
-                                    if (__builtin_expect(
-                                            di.op == Opcode::CHK_A, 0)) {
-                                        if (alat.check(di.dest0.id,
-                                                       eff.addr,
-                                                       di.orig->size)) {
-                                            ++pm.alat_hits;
-                                            chk_hit = true;
-                                            chk_validated = true;
-                                        } else {
-                                            ++pm.alat_misses;
-                                            post_penalty +=
-                                                mach.alat_recovery_cycles;
-                                            charge(
-                                                CycleCat::AlatRecovery,
-                                                mach.alat_recovery_cycles);
-                                        }
-                                    }
-                                }
-                                if (!chk_hit) {
+                            }
+                            if (!chk_validated) {
                                 if (!dtlb.access(page)) {
                                     ++pm.dtlb_misses;
                                     ++pm.vhpt_walks;
@@ -992,21 +919,20 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                                     dtlb.insert(page);
                                 }
                                 bool fp = di.op == Opcode::LDF;
-                                MemAccessResult mr =
-                                    hier.load(eff.addr, fp);
+                                MemAccessResult mr = hier.load(eff.addr, fp);
                                 ++pm.l1d_accesses;
                                 if (!mr.l1_hit && !fp)
                                     ++pm.l1d_misses;
-                                actual_lat = std::max(
-                                    planned_lat, mr.latency + tlb_extra);
+                                actual_lat = std::max(planned_lat,
+                                                      mr.latency + tlb_extra);
                                 if (__builtin_expect(pmu_ear, 0) &&
                                     !mr.l1_hit &&
                                     mr.latency + tlb_extra >=
                                         ear_latency_min)
-                                    pmu_p->recordDear(
-                                        fn->id, bb->id, eff.addr,
-                                        mr.latency + tlb_extra,
-                                        group.attr_union);
+                                    pmu_p->recordDear(fn->id, bb->id,
+                                                      eff.addr,
+                                                      mr.latency + tlb_extra,
+                                                      group.attr_union);
 
                                 // Micropipe: spurious store-to-load
                                 // forwarding.
@@ -1014,8 +940,7 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                                     store_count < 16 ? store_count : 16;
                                 for (uint32_t sk = 0; sk < nst; ++sk) {
                                     const int64_t sc = store_ring[sk].cyc;
-                                    const uint64_t sa =
-                                        store_ring[sk].addr;
+                                    const uint64_t sa = store_ring[sk].addr;
                                     if (issue - sc > mach.stlf_window)
                                         continue;
                                     bool index_match =
@@ -1032,38 +957,32 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                                     }
                                 }
 
-                                if constexpr (kStores) {
-                                    if (__builtin_expect(
-                                            di.op == Opcode::LD_A, 0)) {
-                                        ++pm.advanced_loads;
-                                        alat.allocate(di.dest0.id,
-                                                      eff.addr,
-                                                      di.orig->size);
-                                    }
+                                if (__builtin_expect(di.op == Opcode::LD_A,
+                                                     0)) {
+                                    ++pm.advanced_loads;
+                                    alat.allocate(di.dest0.id, eff.addr,
+                                                  di.orig->size);
                                 }
-                                } // !chk_hit
                             }
-                        } else if constexpr (kStores) {
-                            ++pm.stores;
-                            uint64_t page = Memory::pageOf(eff.addr);
-                            if (!dtlb.access(page)) {
-                                ++pm.dtlb_misses;
-                                ++pm.vhpt_walks;
-                                post_penalty +=
-                                    mach.vhpt_walk_cycles / 2;
-                                charge(CycleCat::Micropipe,
-                                       mach.vhpt_walk_cycles / 2);
-                                dtlb.insert(page);
-                            }
-                            hier.store(eff.addr);
-                            store_ring[store_count & 15u] =
-                                StoreRec{issue, eff.addr};
-                            ++store_count;
-                            // Committing store: drop overlapping
-                            // advanced-load entries (their chk.a must
-                            // recover).
-                            alat.invalidate(eff.addr, di.orig->size);
                         }
+                    } else {
+                        ++pm.stores;
+                        uint64_t page = Memory::pageOf(eff.addr);
+                        if (!dtlb.access(page)) {
+                            ++pm.dtlb_misses;
+                            ++pm.vhpt_walks;
+                            post_penalty += mach.vhpt_walk_cycles / 2;
+                            charge(CycleCat::Micropipe,
+                                   mach.vhpt_walk_cycles / 2);
+                            dtlb.insert(page);
+                        }
+                        hier.store(eff.addr);
+                        store_ring[store_count & 15u] =
+                            StoreRec{issue, eff.addr};
+                        ++store_count;
+                        // Committing store: drop overlapping advanced-load
+                        // entries (their chk.a must recover).
+                        alat.invalidate(eff.addr, di.orig->size);
                     }
                 }
 
@@ -1095,70 +1014,55 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                         mark_dest(di.dest0);
                     if (di.dest1.valid())
                         mark_dest(di.dest1);
-                } else {
-                    if constexpr (kGuards) {
-                        // unc compares clear their destinations even
-                        // when squashed; the predicates are ready at
-                        // issue.
-                        if ((di.op == Opcode::CMP ||
-                             di.op == Opcode::CMPI) &&
-                            di.ctype == CmpType::Unc) {
-                            if (di.dest0.cls == RegClass::Pr &&
-                                di.dest0.id != 0)
-                                tf.ready_pr[di.dest0.id] = issue;
-                            if (di.dest1.valid() &&
-                                di.dest1.cls == RegClass::Pr &&
-                                di.dest1.id != 0)
-                                tf.ready_pr[di.dest1.id] = issue;
-                        }
-                    }
+                } else if ((di.op == Opcode::CMP || di.op == Opcode::CMPI) &&
+                           di.ctype == CmpType::Unc) {
+                    // unc compares clear their destinations even when
+                    // squashed; the predicates are ready at issue.
+                    if (di.dest0.cls == RegClass::Pr && di.dest0.id != 0)
+                        tf.ready_pr[di.dest0.id] = issue;
+                    if (di.dest1.valid() && di.dest1.cls == RegClass::Pr &&
+                        di.dest1.id != 0)
+                        tf.ready_pr[di.dest1.id] = issue;
                 }
 
                 // ---- Control ----
-                if constexpr (kCtl || kCalls) {
-                    const uint64_t paddr = gaddrs[op_i];
-                    if (di.op == Opcode::BR &&
-                        (di.flags & kDecHasGuard)) {
-                        // Conditional branch: predict direction.
-                        bool taken = eff.executed;
-                        ++pm.branch_predictions;
-                        bool predicted = pred.predict(paddr);
-                        pred.update(paddr, taken);
-                        if (predicted != taken) {
-                            ++pm.mispredictions;
-                            post_penalty += mach.mispredict_penalty;
-                            charge(CycleCat::BrMispredFlush,
-                                   mach.mispredict_penalty);
-                        }
-                        if (__builtin_expect(pmu_btb, 0))
-                            pmu_p->recordBranch(paddr, fn->id, bb->id,
-                                                taken,
-                                                predicted != taken);
-                    } else if (di.op == Opcode::CHK_S &&
-                               eff.ctl == Effect::Ctl::Branch) {
-                        // Speculation check fired: flush + recovery.
-                        post_penalty += mach.mispredict_penalty +
-                                        opts.sentinel_recovery_cycles;
+                const uint64_t paddr = gaddrs[op_i];
+                if (di.op == Opcode::BR && (di.flags & kDecHasGuard)) {
+                    // Conditional branch: predict direction.
+                    bool taken = eff.executed;
+                    ++pm.branch_predictions;
+                    bool predicted = pred.predict(paddr);
+                    pred.update(paddr, taken);
+                    if (predicted != taken) {
+                        ++pm.mispredictions;
+                        post_penalty += mach.mispredict_penalty;
                         charge(CycleCat::BrMispredFlush,
                                mach.mispredict_penalty);
-                        charge(CycleCat::Kernel,
-                               opts.sentinel_recovery_cycles);
-                    } else if (di.op == Opcode::BR_ICALL &&
-                               eff.executed) {
-                        ++pm.branch_predictions;
-                        int ptarget = pred.predictTarget(paddr);
-                        pred.updateTarget(paddr, eff.callee);
-                        if (ptarget != eff.callee) {
-                            ++pm.mispredictions;
-                            post_penalty += mach.mispredict_penalty;
-                            charge(CycleCat::BrMispredFlush,
-                                   mach.mispredict_penalty);
-                        }
-                        if (__builtin_expect(pmu_btb, 0))
-                            pmu_p->recordBranch(paddr, fn->id, bb->id,
-                                                true,
-                                                ptarget != eff.callee);
                     }
+                    if (__builtin_expect(pmu_btb, 0))
+                        pmu_p->recordBranch(paddr, fn->id, bb->id, taken,
+                                            predicted != taken);
+                } else if (di.op == Opcode::CHK_S &&
+                           eff.ctl == Effect::Ctl::Branch) {
+                    // Speculation check fired: flush + recovery.
+                    post_penalty += mach.mispredict_penalty +
+                                    opts.sentinel_recovery_cycles;
+                    charge(CycleCat::BrMispredFlush,
+                           mach.mispredict_penalty);
+                    charge(CycleCat::Kernel, opts.sentinel_recovery_cycles);
+                } else if (di.op == Opcode::BR_ICALL && eff.executed) {
+                    ++pm.branch_predictions;
+                    int ptarget = pred.predictTarget(paddr);
+                    pred.updateTarget(paddr, eff.callee);
+                    if (ptarget != eff.callee) {
+                        ++pm.mispredictions;
+                        post_penalty += mach.mispredict_penalty;
+                        charge(CycleCat::BrMispredFlush,
+                               mach.mispredict_penalty);
+                    }
+                    if (__builtin_expect(pmu_btb, 0))
+                        pmu_p->recordBranch(paddr, fn->id, bb->id, true,
+                                            ptarget != eff.callee);
                 }
             } else {
                 // Fast-forward: architected memory counters only; no
@@ -1180,25 +1084,23 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                 }
             }
 
-            if constexpr (kCtl || kCalls) {
-                if (eff.ctl != Effect::Ctl::Next && eff.executed) {
-                    ++pm.branches;
-                    if constexpr (kDetailed) {
-                        if (di.flags & (kDecCall | kDecRet)) {
-                            post_penalty += mach.call_redirect_cycles;
-                            charge(CycleCat::FrontEndBubble,
-                                   mach.call_redirect_cycles);
-                        }
+            if (eff.ctl != Effect::Ctl::Next && eff.executed) {
+                ++pm.branches;
+                if constexpr (kDetailed) {
+                    if (di.flags & (kDecCall | kDecRet)) {
+                        post_penalty += mach.call_redirect_cycles;
+                        charge(CycleCat::FrontEndBubble,
+                               mach.call_redirect_cycles);
                     }
-                    ctl = eff.ctl == Effect::Ctl::Branch ? Ctl::Branch
-                          : eff.ctl == Effect::Ctl::Call ? Ctl::Call
-                                                         : Ctl::Ret;
-                    ctl_target = eff.branch_target;
-                    ctl_callee = eff.callee;
-                    ctl_inst = di.orig;
-                    ctl_eff = eff;
-                    break; // a taken transfer ends the group
                 }
+                ctl = eff.ctl == Effect::Ctl::Branch ? Ctl::Branch
+                      : eff.ctl == Effect::Ctl::Call ? Ctl::Call
+                                                     : Ctl::Ret;
+                ctl_target = eff.branch_target;
+                ctl_callee = eff.callee;
+                ctl_inst = di.orig;
+                ctl_eff = eff;
+                break; // a taken transfer ends the group
             }
         }
 
@@ -1213,187 +1115,170 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
             break;
 
           case Ctl::Branch: {
-            if constexpr (kCtl) {
-                BasicBlock *nb = fn->block(ctl_target);
-                if (!nb) {
-                    res.fail(RunStatus::Faulted, "branch to dead block");
-                    return GroupExit::Failed;
-                }
-                bb = nb;
-                db = &dfn->block(bb->id);
-                gi = 0;
+            BasicBlock *nb = fn->block(ctl_target);
+            if (!nb) {
+                res.fail(RunStatus::Faulted, "branch to dead block");
+                return GroupExit::Failed;
             }
+            bb = nb;
+            db = &dfn->block(bb->id);
+            gi = 0;
             break;
           }
 
           case Ctl::Call: {
-            if constexpr (kCalls) {
-                if (static_cast<int>(frames.size()) >= opts.max_depth) {
-                    res.fail(RunStatus::BudgetExceeded,
-                             "call depth limit exceeded (" +
-                                 std::to_string(opts.max_depth) + ")");
-                    return GroupExit::Failed;
-                }
-                Function *callee = prog.func(ctl_callee);
-                epic_assert(callee, "call to missing function");
-                size_t first_arg =
-                    ctl_inst->op == Opcode::BR_ICALL ? 1 : 0;
-                size_t nargs = ctl_inst->srcs.size() - first_arg;
-                if (nargs != callee->params.size()) {
-                    res.fail(RunStatus::Faulted,
-                             "arity mismatch calling " + callee->name);
-                    return GroupExit::Failed;
-                }
-                args.resize(nargs);
-                for (size_t i = 0; i < nargs; ++i) {
-                    const Operand &o = ctl_inst->srcs[first_arg + i];
-                    if (o.isReg())
-                        args[i] = frame.readGr(o.reg);
-                    else if (o.kind == Operand::Kind::Imm)
-                        args[i] = GrVal{o.imm, false};
-                    else if (o.kind == Operand::Kind::Sym)
-                        args[i] =
-                            GrVal{static_cast<int64_t>(
-                                      prog.symbolAddr(o.sym) + o.imm),
-                                  false};
-                    else if (o.kind == Operand::Kind::Func)
-                        args[i] = GrVal{o.func, false};
-                }
-
-                ret_stack.push_back(RetPos{bb->id, gi + 1});
-                const uint64_t callee_sp =
-                    frame.sp - Frame::frameBytes(*callee);
-                if (frame_pool.empty()) {
-                    frames.emplace_back(callee, callee_sp);
-                } else {
-                    frames.push_back(std::move(frame_pool.back()));
-                    frame_pool.pop_back();
-                    frames.back().reset(callee, callee_sp);
-                }
-                Frame &nf = frames.back();
-                nf.ret_dest = ctl_inst->dests.empty() ? Reg()
-                                                      : ctl_inst->dests[0];
-                for (size_t i = 0; i < nargs; ++i)
-                    nf.writeGr(callee->params[i], args[i]);
-                push_tframe(nf);
-                cur_frame = &nf;
-                cur_tf = &tframes.back();
-                if constexpr (kDetailed) {
-                    TFrame &ntf = *cur_tf;
-                    for (const Reg &p : callee->params)
-                        if (p.cls == RegClass::Gr && p.id != 0)
-                            ntf.gr[p.id].ready = issue + 1;
-                }
-
-                // Register stack engine.
-                frame_stacked.push_back(callee->stacked_regs);
-                rse_logical += callee->stacked_regs;
-                int64_t resident = rse_logical - rse_spilled;
-                int64_t over = resident - mach.stacked_phys_regs;
-                if (over > 0) {
-                    rse_spilled += over;
-                    if constexpr (kDetailed) {
-                        pm.rse_spill_regs += static_cast<uint64_t>(over);
-                        int64_t cost =
-                            (over + mach.rse_regs_per_cycle - 1) /
-                            mach.rse_regs_per_cycle;
-                        t_prev += cost;
-                        charge(CycleCat::Rse, cost);
-                    }
-                }
-
-                // Calls flush the ALAT (timing-only state: frozen in
-                // fast-forward, like the caches).
-                if constexpr (kDetailed)
-                    alat.flushAll();
-
-                fn = callee;
-                dfn = &dec.func(fn->id);
-                gdi_base = dfn->ginstrs();
-                gaddr_base = dfn->gaddrs();
-                gline_base = dfn->glines();
-                bb = fn->block(fn->entry);
-                if (!bb) {
-                    res.fail(RunStatus::Faulted,
-                             "callee without entry block");
-                    return GroupExit::Failed;
-                }
-                db = &dfn->block(bb->id);
-                gi = 0;
+            if (static_cast<int>(frames.size()) >= opts.max_depth) {
+                res.fail(RunStatus::BudgetExceeded,
+                         "call depth limit exceeded (" +
+                             std::to_string(opts.max_depth) + ")");
+                return GroupExit::Failed;
             }
+            Function *callee = prog.func(ctl_callee);
+            epic_assert(callee, "call to missing function");
+            size_t first_arg =
+                ctl_inst->op == Opcode::BR_ICALL ? 1 : 0;
+            size_t nargs = ctl_inst->srcs.size() - first_arg;
+            if (nargs != callee->params.size()) {
+                res.fail(RunStatus::Faulted,
+                         "arity mismatch calling " + callee->name);
+                return GroupExit::Failed;
+            }
+            args.resize(nargs);
+            for (size_t i = 0; i < nargs; ++i)
+                args[i] = detail::evalGr(prog, frame,
+                                         ctl_inst->srcs[first_arg + i]);
+
+            ret_stack.push_back(RetPos{bb->id, gi + 1});
+            const uint64_t callee_sp =
+                frame.sp - Frame::frameBytes(*callee);
+            if (frame_pool.empty()) {
+                frames.emplace_back(callee, callee_sp);
+            } else {
+                frames.push_back(std::move(frame_pool.back()));
+                frame_pool.pop_back();
+                frames.back().reset(callee, callee_sp);
+            }
+            Frame &nf = frames.back();
+            nf.ret_dest = ctl_inst->dests.empty() ? Reg()
+                                                  : ctl_inst->dests[0];
+            for (size_t i = 0; i < nargs; ++i)
+                nf.writeGr(callee->params[i], args[i]);
+            push_tframe(nf);
+            cur_frame = &nf;
+            cur_tf = &tframes.back();
+            if constexpr (kDetailed) {
+                TFrame &ntf = *cur_tf;
+                for (const Reg &p : callee->params)
+                    if (p.cls == RegClass::Gr && p.id != 0)
+                        ntf.gr[p.id].ready = issue + 1;
+            }
+
+            // Register stack engine.
+            frame_stacked.push_back(callee->stacked_regs);
+            rse_logical += callee->stacked_regs;
+            int64_t resident = rse_logical - rse_spilled;
+            int64_t over = resident - mach.stacked_phys_regs;
+            if (over > 0) {
+                rse_spilled += over;
+                if constexpr (kDetailed) {
+                    pm.rse_spill_regs += static_cast<uint64_t>(over);
+                    int64_t cost =
+                        (over + mach.rse_regs_per_cycle - 1) /
+                        mach.rse_regs_per_cycle;
+                    t_prev += cost;
+                    charge(CycleCat::Rse, cost);
+                }
+            }
+
+            // Calls flush the ALAT (timing-only state: frozen in
+            // fast-forward, like the caches).
+            if constexpr (kDetailed)
+                alat.flushAll();
+
+            fn = callee;
+            dfn = &dec.func(fn->id);
+            gdi_base = dfn->ginstrs();
+            gaddr_base = dfn->gaddrs();
+            gline_base = dfn->glines();
+            bb = fn->block(fn->entry);
+            if (!bb) {
+                res.fail(RunStatus::Faulted,
+                         "callee without entry block");
+                return GroupExit::Failed;
+            }
+            db = &dfn->block(bb->id);
+            gi = 0;
             break;
           }
 
           case Ctl::Ret: {
-            if constexpr (kCalls) {
-                const Reg ret_dest = cur_frame->ret_dest;
-                frame_pool.push_back(std::move(frames.back()));
-                frames.pop_back();
-                tframe_pool.push_back(std::move(tframes.back()));
-                tframes.pop_back();
-                int my_stacked = frame_stacked.back();
-                frame_stacked.pop_back();
+            const Reg ret_dest = cur_frame->ret_dest;
+            frame_pool.push_back(std::move(frames.back()));
+            frames.pop_back();
+            tframe_pool.push_back(std::move(tframes.back()));
+            tframes.pop_back();
+            int my_stacked = frame_stacked.back();
+            frame_stacked.pop_back();
 
-                rse_logical -= my_stacked;
-                if (frames.empty()) {
-                    // Flush the final partial PMU interval so sample
-                    // sums reconcile exactly with end-of-run totals.
-                    if (__builtin_expect(pmu_p != nullptr, 0))
-                        pmu_p->finish(pm, cycles_total);
-                    res.succeed(ctl_eff.has_ret_val ? ctl_eff.ret_val.v
-                                                    : 0);
-                    return GroupExit::Finished;
-                }
-                // RSE fill: the caller's frame must be resident again.
-                int64_t caller_frame = frame_stacked.back();
-                int64_t resident = rse_logical - rse_spilled;
-                if (resident < caller_frame && rse_spilled > 0) {
-                    int64_t fill = std::min<int64_t>(
-                        caller_frame - resident, rse_spilled);
-                    rse_spilled -= fill;
-                    if constexpr (kDetailed) {
-                        pm.rse_fill_regs += static_cast<uint64_t>(fill);
-                        int64_t cost =
-                            (fill + mach.rse_regs_per_cycle - 1) /
-                            mach.rse_regs_per_cycle;
-                        t_prev += cost;
-                        charge(CycleCat::Rse, cost);
-                    }
-                }
-
-                if constexpr (kDetailed)
-                    alat.flushAll();
-
-                RetPos rp = ret_stack.back();
-                ret_stack.pop_back();
-                Frame &caller = frames.back();
-                cur_frame = &caller;
-                cur_tf = &tframes.back();
-                fn = const_cast<Function *>(caller.fn);
-                dfn = &dec.func(fn->id);
-                gdi_base = dfn->ginstrs();
-                gaddr_base = dfn->gaddrs();
-                gline_base = dfn->glines();
-                if (ret_dest.valid()) {
-                    caller.writeGr(ret_dest,
-                                   ctl_eff.has_ret_val
-                                       ? ctl_eff.ret_val
-                                       : GrVal{0, false});
-                    if constexpr (kDetailed) {
-                        TFrame &ctf = *cur_tf;
-                        if (ret_dest.id != 0)
-                            ctf.gr[ret_dest.id] =
-                                RegT{t_prev + 1, t_prev + 1, 0, 0};
-                    }
-                }
-                bb = fn->block(rp.block);
-                if (!bb) {
-                    res.fail(RunStatus::Faulted, "return to dead block");
-                    return GroupExit::Failed;
-                }
-                db = &dfn->block(bb->id);
-                gi = rp.group;
+            rse_logical -= my_stacked;
+            if (frames.empty()) {
+                // Flush the final partial PMU interval so sample
+                // sums reconcile exactly with end-of-run totals.
+                if (__builtin_expect(pmu_p != nullptr, 0))
+                    pmu_p->finish(pm, cycles_total);
+                res.succeed(ctl_eff.has_ret_val ? ctl_eff.ret_val.v
+                                                : 0);
+                return GroupExit::Finished;
             }
+            // RSE fill: the caller's frame must be resident again.
+            int64_t caller_frame = frame_stacked.back();
+            int64_t resident = rse_logical - rse_spilled;
+            if (resident < caller_frame && rse_spilled > 0) {
+                int64_t fill = std::min<int64_t>(
+                    caller_frame - resident, rse_spilled);
+                rse_spilled -= fill;
+                if constexpr (kDetailed) {
+                    pm.rse_fill_regs += static_cast<uint64_t>(fill);
+                    int64_t cost =
+                        (fill + mach.rse_regs_per_cycle - 1) /
+                        mach.rse_regs_per_cycle;
+                    t_prev += cost;
+                    charge(CycleCat::Rse, cost);
+                }
+            }
+
+            if constexpr (kDetailed)
+                alat.flushAll();
+
+            RetPos rp = ret_stack.back();
+            ret_stack.pop_back();
+            Frame &caller = frames.back();
+            cur_frame = &caller;
+            cur_tf = &tframes.back();
+            fn = const_cast<Function *>(caller.fn);
+            dfn = &dec.func(fn->id);
+            gdi_base = dfn->ginstrs();
+            gaddr_base = dfn->gaddrs();
+            gline_base = dfn->glines();
+            if (ret_dest.valid()) {
+                caller.writeGr(ret_dest,
+                               ctl_eff.has_ret_val
+                                   ? ctl_eff.ret_val
+                                   : GrVal{0, false});
+                if constexpr (kDetailed) {
+                    TFrame &ctf = *cur_tf;
+                    if (ret_dest.id != 0)
+                        ctf.gr[ret_dest.id] =
+                            RegT{t_prev + 1, t_prev + 1, 0, 0};
+                }
+            }
+            bb = fn->block(rp.block);
+            if (!bb) {
+                res.fail(RunStatus::Faulted, "return to dead block");
+                return GroupExit::Failed;
+            }
+            db = &dfn->block(bb->id);
+            gi = rp.group;
             break;
           }
         }
@@ -1546,33 +1431,9 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
             continue;
         }
         const DecodedGroup &group = db->groups[gi];
-        GroupExit ge;
-        if (__builtin_expect(!in_detail, 0)) {
-            ge = run_group(
-                std::integral_constant<int, kTFastForward>{}, group);
-        } else {
-            switch (force_generic ? static_cast<uint8_t>(kKernelGeneric)
-                                  : group.kernel) {
-              case kKernelGeneric:
-                ge = run_group(
-                    std::integral_constant<int, kKernelGeneric>{},
-                    group);
-                break;
-              // The three specialized shapes share the lean body; the
-              // descriptor keeps them distinct (tests, tooling), the
-              // dispatch stays a binary specialized-vs-generic branch.
-              case kKernelAllAlu:
-              case kKernelLoadAlu:
-              case kKernelBranchTerm:
-                ge = run_group(std::integral_constant<int, kTLean>{},
-                               group);
-                break;
-              default:
-                epic_panic("malformed kernel descriptor (shape ",
-                           static_cast<int>(group.kernel), ") in ",
-                           fn->name);
-            }
-        }
+        const GroupExit ge = __builtin_expect(in_detail, 1)
+                                 ? run_group(std::true_type{}, group)
+                                 : run_group(std::false_type{}, group);
         if (__builtin_expect(ge != GroupExit::Next, 0)) {
             if (ge == GroupExit::Finished && sampled) {
                 // Close an open measure phase, then the stratified

@@ -12,7 +12,8 @@
  * stalls, and the register stack engine. Every cycle is attributed to
  * one of the paper's Figure 5 categories in the Perfmon structure.
  *
- * Control-speculation OS models (paper §4.3 / Figure 9):
+ * OS deferral policies for wild control-speculative loads (paper §4.3
+ * / Figure 9), selected by TimingOptions::deferral:
  *  - General: a wild speculative load walks the page hierarchy in the
  *    kernel without caching the result — expensive, charged to Kernel.
  *  - Sentinel (early deferral): the load defers as NaT at the DTLB and
@@ -37,8 +38,13 @@ namespace epic {
 
 struct SimCheckpoint;
 
-/** OS support model for control speculation. */
-enum class SpecModel { General, Sentinel };
+/**
+ * How the OS resolves a control-speculative load that misses the DTLB
+ * on an unmapped page (file comment). The compiler side of speculation
+ * is the "speculate"/"dataspec" passes; this is purely the simulated
+ * machine's deferral policy.
+ */
+enum class DeferralPolicy { General, Sentinel };
 
 /**
  * Simulation fidelity mode.
@@ -90,7 +96,7 @@ struct SampledStats
 struct TimingOptions
 {
     MachineConfig mach;
-    SpecModel spec_model = SpecModel::General;
+    DeferralPolicy deferral = DeferralPolicy::General;
     uint64_t max_cycles = 20'000'000'000ull;
     int max_depth = 16384;
     /// Extra cost charged per recovered (NaT-deferred) load under the
@@ -128,26 +134,18 @@ struct TimingOptions
     /// intact), so the run completes with a detectably wrong checksum —
     /// the silent-corruption case validation-aware retry must catch.
     bool corrupt_decode = false;
-    /// Injected kernel-descriptor corruption: set the entry function's
-    /// first issue-group kernel byte to an out-of-range shape. The
-    /// dispatch table must panic ("malformed kernel descriptor"), never
-    /// run a wrong kernel.
-    bool corrupt_kernel_desc = false;
     /// Injected ALAT corruption: poison one ALAT entry's tag mid-run.
     /// Timing-only state, so the checksum must stay correct (containment
     /// = the supervised run still proves against the source checksum);
     /// at worst one extra chk.a recovery is charged.
     bool corrupt_alat = false;
 
-    // ---- Fidelity mode (sim/decode.h kernel shapes, DESIGN.md §18) ----
+    // ---- Fidelity mode (DESIGN.md §18) ----
     SimMode sim_mode = SimMode::Detailed;
     /// Sampled mode: ops fast-forwarded per phase / ops simulated in
     /// detail per window. Both must be > 0 when sim_mode == Sampled.
     uint64_t ff_functional = 0;
     uint64_t detail_window = 0;
-    /// Force every group through the generic fallback kernel (testing:
-    /// specialized-vs-fallback golden-counter parity).
-    bool force_generic_kernels = false;
 
     // ---- PMU sampling (sim/pmu/pmu.h) ----
     /// Off by default; when any feature is enabled the run carries a

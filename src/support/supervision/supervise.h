@@ -88,6 +88,10 @@ int64_t deadlineFromNowMs(int64_t ms);
  * deadline, bounded retry, and the sim-side degradation ladder.
  * Zero-valued budgets mean "library default" (the generous limits in
  * InterpOptions/TimingOptions).
+ *
+ * Every task runs under a policy. The defaults are the plain run: one
+ * attempt, no validation, no ladder — a failed detailed sim is
+ * reported as-is. supervised() is the fleet supervisor's policy.
  */
 struct SupervisionOptions
 {
@@ -98,13 +102,28 @@ struct SupervisionOptions
     int64_t deadline_ms = 0;  ///< per-attempt wall deadline (0 = none)
     /// Total attempts of the detailed simulation before degrading
     /// (first try included). Deterministic: same inputs, same ladder.
-    int max_attempts = 2;
+    int max_attempts = 1;
     /// Degradation ladder: detailed -> functional-only -> skip. When
-    /// off, a failed detailed sim is reported as-is (legacy behaviour).
-    bool ladder = true;
+    /// off, a failed detailed sim is reported as-is.
+    bool ladder = false;
+    /// Treat a detailed sim whose architected result disagrees with the
+    /// source-truth checksum as Faulted (retried, then degraded), so
+    /// silent corruption cannot be accepted.
+    bool validate = false;
     /// Detailed-sim checkpoint interval in retired (useful+squashed)
     /// ops; 0 = no checkpointing.
     uint64_t checkpoint_every = 0;
+
+    /** Validation-aware retry (two attempts) plus the ladder. */
+    static SupervisionOptions
+    supervised()
+    {
+        SupervisionOptions s;
+        s.max_attempts = 2;
+        s.ladder = true;
+        s.validate = true;
+        return s;
+    }
 };
 
 } // namespace epic

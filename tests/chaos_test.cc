@@ -48,7 +48,7 @@ RunOptions
 supervisedOpts()
 {
     RunOptions opts;
-    opts.supervise = true;
+    opts.supervision = SupervisionOptions::supervised();
     return opts;
 }
 
@@ -290,7 +290,7 @@ TEST(ChaosTest, ResumeIgnoresRecordsFromDifferentRunConfiguration)
     // lookup — the task reruns instead of replaying stale bytes.
     RunOptions opts2 = supervisedOpts();
     opts2.only = {"gzip"};
-    opts2.spec_model = SpecModel::Sentinel;
+    opts2.deferral = DeferralPolicy::Sentinel;
     RunManifest m2;
     EXPECT_EQ(m2.open(mpath), 1u);
     opts2.manifest = &m2;

@@ -126,8 +126,7 @@ TEST(DataSpecTest, GoldenCountersGapAndMcf)
 }
 
 /**
- * The refactor contract: pulling control speculation behind the
- * SpeculationModel registry must leave the legacy ILP-CS rung
+ * The dataspec pass is gated to ILP-CS-DS: the legacy ILP-CS rung stays
  * byte-identical — no advanced opcodes in its output, no ALAT keys in
  * its artifact record, and deterministic recompilation.
  */

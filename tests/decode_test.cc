@@ -216,6 +216,15 @@ struct Golden
     uint64_t total_cycles;
 };
 
+/** Print the parameter by value. Without this gtest dumps the raw bytes,
+ *  which include the address of the workload-name literal, so the test
+ *  names ctest lists would change with every link and every process. */
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.workload << " " << configName(g.config);
+}
+
 class DecodeGoldenTest : public ::testing::TestWithParam<Golden>
 {
 };

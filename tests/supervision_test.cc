@@ -209,7 +209,7 @@ TEST(SupervisionTest, ArenaBudgetExhaustionIsStructured)
     // End to end: the supervised experiment layer reports it as a
     // structured budget outcome, not a crash.
     RunOptions opts;
-    opts.supervise = true;
+    opts.supervision = SupervisionOptions::supervised();
     opts.run_input = InputKind::Train;
     opts.tweak = [](CompileOptions &o) { o.max_arena_pages = 1; };
     ConfigRun r = runConfig(*w, Config::IlpCs, opts);

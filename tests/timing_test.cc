@@ -1,21 +1,28 @@
 /**
  * @file
  * Timing-simulator tests: cycle-accounting consistency, cache and
- * predictor behaviour, wild-load OS models, micropipe, RSE.
+ * predictor behaviour, wild-load deferral policies, micropipe, RSE,
+ * budget/deadline trip points and sampled mode.
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "driver/compiler.h"
 #include "ir/builder.h"
+#include "sim/checkpoint.h"
 #include "sim/interp.h"
 #include "sim/timing.h"
+#include "support/supervision/supervise.h"
+#include "workloads/workload.h"
 
 namespace epic {
 namespace {
 
 /** Profile on its own memory image, compile, simulate. */
 TimingResult
-compileAndSim(Program &src, Config cfg, SpecModel model = SpecModel::General)
+compileAndSim(Program &src, Config cfg,
+              DeferralPolicy deferral = DeferralPolicy::General)
 {
     src.layoutData();
     Memory pmem;
@@ -27,7 +34,7 @@ compileAndSim(Program &src, Config cfg, SpecModel model = SpecModel::General)
     Memory mem;
     mem.initFromProgram(*c.prog);
     TimingOptions topts;
-    topts.spec_model = model;
+    topts.deferral = deferral;
     auto r = simulate(*c.prog, mem, topts);
     EXPECT_TRUE(r.ok) << r.error;
     return r;
@@ -224,8 +231,8 @@ TEST(TimingTest, WildLoadsGeneralVsSentinel)
     b.ret(acc);
     p.entry_func = f->id;
 
-    auto rg = compileAndSim(p, Config::IlpCs, SpecModel::General);
-    auto rst = compileAndSim(p, Config::IlpCs, SpecModel::Sentinel);
+    auto rg = compileAndSim(p, Config::IlpCs, DeferralPolicy::General);
+    auto rst = compileAndSim(p, Config::IlpCs, DeferralPolicy::Sentinel);
     EXPECT_EQ(rg.ret_value, rst.ret_value);
     if (rg.pm.wild_loads > 0) {
         EXPECT_GT(rg.pm.get(CycleCat::Kernel),
@@ -353,6 +360,129 @@ TEST(TimingTest, NopsAreRetiredAndCounted)
     EXPECT_GT(r.pm.nop_ops, 0u);
     // GCC-style single-bundle groups waste most slots.
     EXPECT_GT(r.pm.nop_ops, r.pm.useful_ops / 3);
+}
+
+// ---------------------------------------------------------------------
+// Budget/deadline trip points and sampled mode on a real workload.
+
+/** Serialize a Perfmon: blob equality is full-counter equality. */
+std::string
+pmBlob(const Perfmon &pm)
+{
+    CkptWriter w;
+    saveState(w, pm);
+    return w.take();
+}
+
+/** Profile + compile one workload (tests run several sims per build). */
+Compiled
+buildCompiled(const Workload &w, Config cfg)
+{
+    auto prog = w.build();
+    prog->layoutData();
+    {
+        Memory mem;
+        mem.initFromProgram(*prog);
+        w.write_input(*prog, mem, InputKind::Train);
+        EXPECT_TRUE(profileRun(*prog, mem).ok);
+    }
+    return compileProgram(*prog, cfg);
+}
+
+TimingResult
+runSim(const Workload &w, Compiled &c, const TimingOptions &topts)
+{
+    Memory mem;
+    mem.initFromProgram(*c.prog);
+    w.write_input(*c.prog, mem, InputKind::Train);
+    return simulate(*c.prog, mem, topts);
+}
+
+// The cycle budget is checked once per issue group, so a run trips at
+// the first group boundary past the budget: deterministically, with a
+// byte-identical Perfmon every time.
+TEST(TimingTest, CycleBudgetTripsAtGroupBoundary)
+{
+    const Workload *w = findWorkload("164.gzip");
+    ASSERT_NE(w, nullptr);
+    Compiled c = buildCompiled(*w, Config::IlpCs);
+
+    uint64_t full_cycles = 0;
+    {
+        TimingResult r = runSim(*w, c, {});
+        ASSERT_TRUE(r.ok) << r.error;
+        full_cycles = r.pm.total();
+        ASSERT_GT(full_cycles, 1000u);
+    }
+
+    TimingOptions topts;
+    topts.max_cycles = full_cycles / 2;
+    TimingResult a = runSim(*w, c, topts);
+    TimingResult b = runSim(*w, c, topts);
+    ASSERT_FALSE(a.ok);
+    ASSERT_FALSE(b.ok);
+    EXPECT_EQ(a.status, RunStatus::BudgetExceeded);
+    EXPECT_EQ(a.error, b.error);
+    EXPECT_EQ(pmBlob(a.pm), pmBlob(b.pm));
+    // Past the budget, by less than one group's worth of cycles.
+    EXPECT_GT(a.pm.total(), topts.max_cycles);
+    EXPECT_LT(a.pm.total(), topts.max_cycles + 1000);
+}
+
+TEST(TimingTest, ExpiredDeadlineTripsAtFirstPoll)
+{
+    const Workload *w = findWorkload("164.gzip");
+    ASSERT_NE(w, nullptr);
+    Compiled c = buildCompiled(*w, Config::IlpCs);
+
+    // A deadline already in the past fires at the first armed watchdog
+    // poll — before the first group — so nothing has retired. The poll
+    // only runs while process-level supervision is armed (the fleet
+    // engine's normal state; supervise.h).
+    TimingOptions topts;
+    topts.deadline_ns = 1;
+    armSupervision();
+    TimingResult r = runSim(*w, c, topts);
+    disarmSupervision();
+    ASSERT_FALSE(r.ok);
+    EXPECT_EQ(r.status, RunStatus::Deadline);
+    EXPECT_EQ(r.pm.total(), 0u);
+    EXPECT_EQ(r.pm.useful_ops + r.pm.squashed_ops, 0u);
+}
+
+// Sampled mode: the architected result must be exact (only cycle
+// attribution is extrapolated), and the estimate must cross-foot.
+TEST(TimingTest, SampledModePreservesArchitectedResult)
+{
+    const Workload *w = findWorkload("164.gzip");
+    ASSERT_NE(w, nullptr);
+    Compiled c = buildCompiled(*w, Config::IlpCs);
+
+    TimingResult det = runSim(*w, c, {});
+    ASSERT_TRUE(det.ok) << det.error;
+
+    TimingOptions sopts;
+    sopts.sim_mode = SimMode::Sampled;
+    sopts.ff_functional = 100'000;
+    sopts.detail_window = 50'000;
+    TimingResult smp = runSim(*w, c, sopts);
+    ASSERT_TRUE(smp.ok) << smp.error;
+
+    EXPECT_EQ(smp.ret_value, det.ret_value);
+    ASSERT_TRUE(smp.sampled.enabled);
+    EXPECT_GE(smp.sampled.windows, 1u);
+    EXPECT_GT(smp.sampled.detail_ops, 0u);
+    EXPECT_LE(smp.sampled.detail_ops, smp.sampled.total_ops);
+    EXPECT_LE(smp.sampled.head_ops, smp.sampled.detail_ops);
+    uint64_t sum = 0;
+    for (uint64_t v : smp.sampled.est_cycles)
+        sum += v;
+    EXPECT_EQ(sum, smp.sampled.est_total);
+    // Sampling skipped detailed work: window-only cycles are a strict
+    // subset of the detailed run's.
+    EXPECT_LT(smp.pm.total(), det.pm.total());
+    // Detailed runs carry no sampled stats.
+    EXPECT_FALSE(det.sampled.enabled);
 }
 
 } // namespace
