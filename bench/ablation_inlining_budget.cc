@@ -23,6 +23,11 @@ main()
     const char *names[] = {"186.crafty", "252.eon", "253.perlbmk",
                            "255.vortex", "300.twolf"};
 
+    // The budget only changes compilation: profile each workload once.
+    std::vector<ProfiledSource> sources;
+    for (const char *n : names)
+        sources.push_back(profileSource(*findWorkload(n)));
+
     Table t({"budget", "geomean speedup vs 1.0x", "code growth x",
              "inlined sites"});
     std::vector<uint64_t> baseline;
@@ -35,9 +40,9 @@ main()
         std::vector<double> speedups, growths;
         int inlined = 0;
         size_t idx = 0;
-        for (const char *n : names) {
-            const Workload *w = findWorkload(n);
-            ConfigRun r = runConfig(*w, Config::IlpCs, opts);
+        for (size_t k = 0; k < sources.size(); ++k) {
+            const Workload *w = findWorkload(names[k]);
+            ConfigRun r = runConfig(*w, sources[k], Config::IlpCs, opts);
             if (!r.ok)
                 continue;
             if (budget == budgets[0])

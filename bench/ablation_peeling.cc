@@ -24,8 +24,9 @@ main()
              "loops peeled"});
     std::vector<double> speedups;
     for (const Workload &w : allWorkloads()) {
-        ConfigRun with = runConfig(w, Config::IlpCs);
-        ConfigRun without = runConfig(w, Config::IlpCs, nopeel);
+        const ProfiledSource src = profileSource(w);
+        ConfigRun with = runConfig(w, src, Config::IlpCs);
+        ConfigRun without = runConfig(w, src, Config::IlpCs, nopeel);
         if (!with.ok || !without.ok)
             continue;
         double sp =

@@ -27,8 +27,9 @@ main()
     Table t({"Benchmark", "with analysis", "without", "contribution"});
     std::vector<double> speedups;
     for (const Workload &w : allWorkloads()) {
-        ConfigRun with = runConfig(w, Config::IlpCs);
-        ConfigRun without = runConfig(w, Config::IlpCs, noptr);
+        const ProfiledSource src = profileSource(w);
+        ConfigRun with = runConfig(w, src, Config::IlpCs);
+        ConfigRun without = runConfig(w, src, Config::IlpCs, noptr);
         if (!with.ok || !without.ok)
             continue;
         double sp =

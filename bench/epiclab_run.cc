@@ -609,21 +609,19 @@ main(int argc, char **argv)
         return finish(1);
     }
 
+    ConfigRun r;
     if (supervise) {
         installStopSignalHandlers();
-        // Source-truth checksum, so the supervisor's validation-aware
-        // retry catches silent corruption in single-run mode too (the
-        // suite path gets this from runWorkload's source run).
-        auto src = w->build();
-        src->layoutData();
-        Memory mem;
-        mem.initFromProgram(*src);
-        w->write_input(*src, mem, opts.run_input);
-        InterpResult truth = interpret(*src, mem, {});
-        if (truth.ok)
-            opts.expected_checksum = truth.ret_value;
+        // The prepare step's source-truth checksum lets the supervisor's
+        // validation-aware retry catch silent corruption in single-run
+        // mode too, as it does on the suite path.
+        const ProfiledSource src = prepareWorkload(*w, opts);
+        if (src.source_checksum)
+            opts.expected_checksum = *src.source_checksum;
+        r = runConfig(*w, src, cfg, opts);
+    } else {
+        r = runConfig(*w, cfg, opts);
     }
-    ConfigRun r = runConfig(*w, cfg, opts);
     if (!r.fallback.clean())
         printf("%s\n", r.fallback.str().c_str());
     if (supervise && r.sim_attempts > 0)

@@ -27,17 +27,26 @@ main()
 {
     printf("Figure 9 / section 4.3: general vs sentinel speculation\n\n");
 
+    // Every run below profiles on the train input: profile each
+    // workload once and compile all four runs from it.
+    const std::vector<Workload> &suite = allWorkloads();
+    std::vector<ProfiledSource> sources;
+    for (const Workload &w : suite)
+        sources.push_back(profileSource(w));
+
     Table t({"Benchmark", "wild loads", "gen kernel%", "sent kernel%",
              "gen cycles", "sent cycles", "gen/sent"});
 
-    for (const Workload &w : allWorkloads()) {
+    for (size_t i = 0; i < suite.size(); ++i) {
+        const Workload &w = suite[i];
         RunOptions gen_opts;
         gen_opts.deferral = DeferralPolicy::General;
-        ConfigRun gen = runConfig(w, Config::IlpCs, gen_opts);
+        ConfigRun gen = runConfig(w, sources[i], Config::IlpCs, gen_opts);
 
         RunOptions sent_opts;
         sent_opts.deferral = DeferralPolicy::Sentinel;
-        ConfigRun sent = runConfig(w, Config::IlpCs, sent_opts);
+        ConfigRun sent =
+            runConfig(w, sources[i], Config::IlpCs, sent_opts);
 
         if (!gen.ok || !sent.ok) {
             printf("%s: run failed\n", w.name.c_str());
@@ -73,9 +82,10 @@ main()
 
     Table d({"Benchmark", "ld.a (dyn)", "alat hit", "alat miss",
              "recov cyc", "CS cycles", "CS-DS cycles", "CS/CS-DS"});
-    for (const Workload &w : allWorkloads()) {
-        ConfigRun cs = runConfig(w, Config::IlpCs);
-        ConfigRun ds = runConfig(w, Config::IlpCsDs);
+    for (size_t i = 0; i < suite.size(); ++i) {
+        const Workload &w = suite[i];
+        ConfigRun cs = runConfig(w, sources[i], Config::IlpCs);
+        ConfigRun ds = runConfig(w, sources[i], Config::IlpCsDs);
         if (!cs.ok || !ds.ok) {
             printf("%s: run failed\n", w.name.c_str());
             continue;

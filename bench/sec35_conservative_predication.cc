@@ -34,8 +34,9 @@ main()
         WorkloadRuns base_runs = runWorkload(w, {Config::ONS});
         const ConfigRun &ons = base_runs.by_config.at(Config::ONS);
 
-        ConfigRun cons = runConfig(w, Config::IlpNs, cons_opts);
-        ConfigRun incl = runConfig(w, Config::IlpNs);
+        const ProfiledSource src = profileSource(w);
+        ConfigRun cons = runConfig(w, src, Config::IlpNs, cons_opts);
+        ConfigRun incl = runConfig(w, src, Config::IlpNs);
         if (!ons.ok || !cons.ok || !incl.ok)
             continue;
 

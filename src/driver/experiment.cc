@@ -23,22 +23,45 @@ standardConfigs()
 
 namespace {
 
-/** Build + profile a fresh source program for a workload. */
+/**
+ * Label of a coarse experiment phase on the trace timeline, naming the
+ * workload and (for per-config phases) the configuration. "" when
+ * tracing is off, so composing the label is skipped too.
+ */
+std::string
+phaseLabel(const char *phase, const Workload &w, const Config *cfg = nullptr)
+{
+    if (!TraceRecorder::global().enabled())
+        return {};
+    std::string label = std::string(phase) + " " + w.name;
+    if (cfg)
+        label += std::string(" [") + configName(*cfg) + "]";
+    return label;
+}
+
+/** The workload's source program, built and laid out, unprofiled. */
 std::unique_ptr<Program>
-buildProfiled(const Workload &w, const RunOptions &opts,
-              std::string *error)
+buildSource(const Workload &w)
 {
     auto prog = w.build();
     prog->layoutData();
+    return prog;
+}
+
+/** Profile `prog` on `input`; on success it becomes `out.prog`. */
+void
+profileInto(const Workload &w, std::unique_ptr<Program> prog,
+            InputKind input, ProfiledSource &out)
+{
     Memory mem;
     mem.initFromProgram(*prog);
-    w.write_input(*prog, mem, opts.profile_input);
+    w.write_input(*prog, mem, input);
     auto prof = profileRun(*prog, mem);
     if (!prof.ok) {
-        *error = "profile run failed: " + prof.error;
-        return nullptr;
+        out.error = "profile run failed: " + prof.error;
+        return;
     }
-    return prog;
+    out.prog = std::move(prog);
 }
 
 /** RAII arm/disarm for the per-task deadline poll. */
@@ -134,7 +157,22 @@ buildImage(const Workload &w, const Program &prog, Memory &mem,
            const RunOptions &opts)
 {
     mem.initFromProgram(prog);
-    w.write_input(const_cast<Program &>(prog), mem, opts.run_input);
+    w.write_input(prog, mem, opts.run_input);
+}
+
+/** A task replayed from its stored manifest record. */
+ConfigRun
+resumedRun(Config cfg, const std::string &rec)
+{
+    ConfigRun r;
+    r.config = cfg;
+    r.resumed = true;
+    r.record_json = rec;
+    r.ok = recordSaysOk(rec);
+    r.checksum = recordChecksum(rec);
+    if (!r.ok)
+        r.error = "failed in a previous run (resumed manifest record)";
+    return r;
 }
 
 /**
@@ -293,30 +331,58 @@ superviseSim(const Workload &w, Config cfg, const RunOptions &opts,
 
 } // namespace
 
-ConfigRun
-runConfig(const Workload &w, Config cfg, const RunOptions &opts)
+ProfiledSource
+profileSource(const Workload &w, InputKind input)
 {
+    TraceSpan span("experiment.phase", phaseLabel("build+profile", w));
+    ProfiledSource out;
+    out.profile_input = input;
+    profileInto(w, buildSource(w), input, out);
+    return out;
+}
+
+ProfiledSource
+prepareWorkload(const Workload &w, const RunOptions &opts, bool profile)
+{
+    ProfiledSource out;
+    out.profile_input = opts.profile_input;
+    std::unique_ptr<Program> prog;
+    {
+        // Source truth: functional run of the unoptimized program on
+        // the measurement input.
+        TraceSpan span("experiment.phase", phaseLabel("source-run", w));
+        prog = buildSource(w);
+        Memory mem;
+        mem.initFromProgram(*prog);
+        w.write_input(*prog, mem, opts.run_input);
+        auto r = interpret(*prog, mem);
+        if (!r.ok) {
+            out.error = "source program failed: " + r.error;
+            return out;
+        }
+        out.source_checksum = r.ret_value;
+    }
+    // Only a profile run writes to the program, so the build the
+    // source run used is still pristine.
+    if (profile) {
+        TraceSpan span("experiment.phase", phaseLabel("profile", w));
+        profileInto(w, std::move(prog), opts.profile_input, out);
+    }
+    return out;
+}
+
+ConfigRun
+runConfig(const Workload &w, const ProfiledSource &src, Config cfg,
+          const RunOptions &opts)
+{
+    epic_assert(src.profile_input == opts.profile_input, w.name,
+                ": shared source was profiled on another input than "
+                "opts.profile_input");
     ConfigRun out;
     out.config = cfg;
-
-    // Coarse experiment phases for the trace timeline ("" = tracing
-    // off; composing the label is then skipped too).
-    auto phase_label = [&](const char *phase) -> std::string {
-        if (!TraceRecorder::global().enabled())
-            return {};
-        return std::string(phase) + " " + w.name + " [" +
-               configName(cfg) + "]";
-    };
-    TraceSpan run_span("experiment", phase_label("run"));
-
-    std::string err;
-    std::unique_ptr<Program> src;
-    {
-        TraceSpan span("experiment.phase", phase_label("build+profile"));
-        src = buildProfiled(w, opts, &err);
-    }
-    if (!src) {
-        out.error = err;
+    TraceSpan run_span("experiment", phaseLabel("run", w, &cfg));
+    if (!src.prog) {
+        out.error = src.error;
         out.sim_status = RunStatus::Faulted;
         return out;
     }
@@ -329,7 +395,7 @@ runConfig(const Workload &w, Config cfg, const RunOptions &opts)
         opts.tweak(copts);
     Compiled c;
     try {
-        c = compileProgram(*src, copts);
+        c = compileProgram(*src.prog, copts);
     } catch (const ArenaBudgetExceeded &e) {
         out.ok = false;
         out.sim_status = RunStatus::BudgetExceeded;
@@ -344,10 +410,16 @@ runConfig(const Workload &w, Config cfg, const RunOptions &opts)
     out.instrs_source = c.instrs_source;
     out.instrs_final = c.instrs_final;
 
-    TraceSpan sim_span("experiment.phase", phase_label("simulate"));
+    TraceSpan sim_span("experiment.phase", phaseLabel("simulate", w, &cfg));
     superviseSim(w, cfg, opts, *c.prog, out);
     out.prog = std::shared_ptr<Program>(std::move(c.prog));
     return out;
+}
+
+ConfigRun
+runConfig(const Workload &w, Config cfg, const RunOptions &opts)
+{
+    return runConfig(w, profileSource(w, opts.profile_input), cfg, opts);
 }
 
 std::vector<WorkloadRuns>
@@ -398,28 +470,33 @@ runWorkload(const Workload &w, const std::vector<Config> &configs,
         return out;
     }
 
-    // Source truth: functional run of the unoptimized program on the
-    // measurement input.
-    {
-        TraceSpan span("experiment.phase",
-                       TraceRecorder::global().enabled()
-                           ? "source-run " + w.name
-                           : std::string());
-        auto prog = w.build();
-        prog->layoutData();
-        Memory mem;
-        mem.initFromProgram(*prog);
-        w.write_input(*prog, mem, opts.run_input);
-        auto r = interpret(*prog, mem);
-        if (!r.ok) {
-            // Recoverable: the harness reports the workload as failed
-            // instead of killing the whole suite.
-            out.error = "source program failed: " + r.error;
-            epic_warn(w.name, ": ", out.error);
-            return out;
-        }
-        out.source_checksum = r.ret_value;
+    // Tasks whose key already has a durable record replay it; the rest
+    // are pending. Deciding this first lets a workload with nothing
+    // pending skip its profile run.
+    std::vector<ConfigRun> results(configs.size());
+    std::vector<std::string> keys(configs.size());
+    std::vector<int> pending;
+    for (size_t i = 0; i < configs.size(); ++i) {
+        if (opts.manifest)
+            keys[i] = manifestKey(w, configs[i], opts);
+        const std::string *rec = opts.manifest && opts.resume
+                                     ? opts.manifest->find(keys[i])
+                                     : nullptr;
+        if (rec)
+            results[i] = resumedRun(configs[i], *rec);
+        else
+            pending.push_back(static_cast<int>(i));
     }
+
+    const ProfiledSource src = prepareWorkload(w, opts, !pending.empty());
+    if (!src.source_checksum) {
+        // Recoverable: the harness reports the workload as failed
+        // instead of killing the whole suite.
+        out.error = src.error;
+        epic_warn(w.name, ": ", out.error);
+        return out;
+    }
+    out.source_checksum = *src.source_checksum;
 
     // Validating runs check every accepted result against the source
     // truth (silent-corruption detection drives retry).
@@ -427,39 +504,20 @@ runWorkload(const Workload &w, const std::vector<Config> &configs,
     if (opts.supervision.validate)
         wopts.expected_checksum = out.source_checksum;
 
-    // Configurations are independent (each builds its own profiled
-    // source); fan them out, then merge and report in `configs` order
-    // so the aggregate — and even the warning stream — is identical to
-    // a serial run.
-    std::vector<ConfigRun> results(configs.size());
+    // The pending configurations compile from the one shared profiled
+    // source (read-only), so they are independent; fan them out, then
+    // merge and report in `configs` order so the aggregate — and even
+    // the warning stream — is identical to a serial run.
     parallelFor(
-        opts.jobs, static_cast<int>(configs.size()), [&](int i) {
-            const Config cfg = configs[i];
-            const std::string key =
-                opts.manifest ? manifestKey(w, cfg, opts)
-                              : std::string();
-            if (opts.manifest && opts.resume) {
-                if (const std::string *rec = opts.manifest->find(key)) {
-                    ConfigRun r;
-                    r.config = cfg;
-                    r.resumed = true;
-                    r.record_json = *rec;
-                    r.ok = recordSaysOk(*rec);
-                    r.checksum = recordChecksum(*rec);
-                    if (!r.ok)
-                        r.error = "failed in a previous run (resumed "
-                                  "manifest record)";
-                    results[i] = std::move(r);
-                    return;
-                }
-            }
+        opts.jobs, static_cast<int>(pending.size()), [&](int k) {
+            const int i = pending[k];
             if (stopped()) {
-                results[i].config = cfg;
+                results[i].config = configs[i];
                 results[i].sim_status = RunStatus::Deadline;
                 results[i].error = "interrupted by stop request";
                 return;
             }
-            results[i] = runConfig(w, cfg, wopts);
+            results[i] = runConfig(w, src, configs[i], wopts);
             // Durable completion record — appended (and fsync'd) the
             // moment the task finishes, so a later kill -9 cannot lose
             // it. Results produced after a stop request are not
@@ -467,8 +525,8 @@ runWorkload(const Workload &w, const std::vector<Config> &configs,
             // re-run on resume.
             if (opts.manifest && !(stopped() && !results[i].ok))
                 opts.manifest->record(
-                    key, runRecordJson(w.name, out.source_checksum,
-                                       results[i]));
+                    keys[i], runRecordJson(w.name, out.source_checksum,
+                                           results[i]));
         });
 
     out.all_match = true;

@@ -4,7 +4,8 @@
  * build a workload, profile it on the train input, compile it under one
  * or more configurations, simulate on the ref input, and validate that
  * every configuration computes the same architected checksum as the
- * source program.
+ * source program. A workload is built and profiled once; every
+ * configuration compiles from that one profiled source (DESIGN §10).
  */
 #ifndef EPIC_DRIVER_EXPERIMENT_H
 #define EPIC_DRIVER_EXPERIMENT_H
@@ -155,11 +156,59 @@ struct WorkloadRuns
     PipelineStats pipeline;
 };
 
-/** Run one workload under one configuration. */
+/**
+ * A workload's source program, built once and profiled on one input.
+ * Every configuration compiles from `prog` (compileProgram clones it),
+ * so one instance is shared read-only by all the configurations of a
+ * workload — runWorkload's fan-out, or a harness that compiles one
+ * workload several ways.
+ */
+struct ProfiledSource
+{
+    /// The input the profile was collected on; runConfig asserts that
+    /// it matches RunOptions::profile_input.
+    InputKind profile_input = InputKind::Train;
+    /// The profiled program; null when a step failed (see `error`) or
+    /// the prepare step was asked not to profile.
+    std::unique_ptr<const Program> prog;
+    /// Source-truth checksum on RunOptions::run_input (prepareWorkload
+    /// only).
+    std::optional<int64_t> source_checksum;
+    /// Non-empty: the step that failed ("source program failed: ..." or
+    /// "profile run failed: ...").
+    std::string error;
+};
+
+/** Build `w` and profile it on `input` (no source-truth run). */
+ProfiledSource profileSource(const Workload &w,
+                             InputKind input = InputKind::Train);
+
+/**
+ * The per-workload prepare step: one build of `w` serves the
+ * source-truth run (functional, on opts.run_input) and then, when
+ * `profile` is set, the profile run (on opts.profile_input). A failed
+ * source run ends the step.
+ */
+ProfiledSource prepareWorkload(const Workload &w, const RunOptions &opts,
+                               bool profile = true);
+
+/**
+ * Run one workload under one configuration, compiled from a shared
+ * profiled source. Dies unless src.profile_input == opts.profile_input.
+ */
+ConfigRun runConfig(const Workload &w, const ProfiledSource &src,
+                    Config cfg, const RunOptions &opts = {});
+
+/** Run one workload under one configuration, profiling it first. */
 ConfigRun runConfig(const Workload &w, Config cfg,
                     const RunOptions &opts = {});
 
-/** Run one workload under a set of configurations (with validation). */
+/**
+ * Run one workload under a set of configurations (with validation):
+ * prepare once, then fan the configurations out over the shared
+ * profiled source. A workload whose every configuration replays from
+ * the manifest is not profiled.
+ */
 WorkloadRuns runWorkload(const Workload &w,
                          const std::vector<Config> &configs,
                          const RunOptions &opts = {});

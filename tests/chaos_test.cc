@@ -22,6 +22,7 @@
 #include "support/supervision/manifest.h"
 #include "support/supervision/supervise.h"
 #include "support/telemetry/artifact.h"
+#include "support/telemetry/trace.h"
 #include "workloads/workload.h"
 
 namespace epic {
@@ -270,6 +271,47 @@ TEST(ChaosTest, ResumedSuiteArtifactIsByteIdentical)
         EXPECT_TRUE(cr.resumed) << configName(cfg);
     const std::string art2 = suiteArtifact(suite2, configs, nullptr);
     EXPECT_EQ(art1, art2);
+}
+
+TEST(ChaosTest, ResumeProfilesOnlyWorkloadsWithTasksLeft)
+{
+    const std::string dir = tempDir();
+    const std::string mpath = dir + "/fleet.manifest";
+    RunOptions opts = supervisedOpts();
+    opts.only = {"gzip"};
+    RunManifest m1;
+    m1.open(mpath);
+    opts.manifest = &m1;
+    runSuite({Config::Gcc, Config::ONS}, opts);
+    ASSERT_EQ(m1.size(), 2u);
+
+    // Resume under `configs`: how many profile runs did it pay?
+    auto profileRuns = [&](const std::vector<Config> &configs) {
+        RunManifest m;
+        EXPECT_GE(m.open(mpath), 2u);
+        RunOptions ropts = opts;
+        ropts.manifest = &m;
+        ropts.resume = true;
+        TraceRecorder &rec = TraceRecorder::global();
+        rec.enable();
+        auto suite = runSuite(configs, ropts);
+        rec.disable();
+        EXPECT_EQ(suite.size(), 1u);
+        for (const auto &[cfg, cr] : suite.at(0).by_config) {
+            EXPECT_TRUE(cr.ok) << configName(cfg) << ": " << cr.error;
+            EXPECT_EQ(cr.resumed,
+                      cfg == Config::Gcc || cfg == Config::ONS)
+                << configName(cfg);
+        }
+        int n = 0;
+        for (const TraceRecorder::Event &e : rec.events())
+            n += e.cat == "sim" && e.name == "profile-run";
+        return n;
+    };
+    // Every task replays: the workload is not profiled at all.
+    EXPECT_EQ(profileRuns({Config::Gcc, Config::ONS}), 0);
+    // Two tasks left share one profile run; the others replay.
+    EXPECT_EQ(profileRuns(standardConfigs()), 1);
 }
 
 TEST(ChaosTest, ResumeIgnoresRecordsFromDifferentRunConfiguration)

@@ -10,6 +10,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 
 #include "driver/experiment.h"
@@ -17,6 +18,7 @@
 #include "ir/printer.h"
 #include "sim/interp.h"
 #include "support/faultinject.h"
+#include "support/telemetry/trace.h"
 #include "support/threadpool.h"
 #include "workloads/workload.h"
 
@@ -222,6 +224,60 @@ TEST(PipelineTest, ParallelWorkloadRunIsBitIdentical)
         runWorkload(*w, standardConfigs(), trainOpts(4));
     EXPECT_TRUE(serial.all_match);
     EXPECT_EQ(digest(serial), digest(parallel));
+}
+
+/** Profile runs (`sim`/`profile-run` trace spans) made by `body`. */
+int
+profileRunsIn(const std::function<void()> &body)
+{
+    TraceRecorder &rec = TraceRecorder::global();
+    rec.enable();
+    body();
+    rec.disable();
+    int n = 0;
+    for (const TraceRecorder::Event &e : rec.events())
+        n += e.cat == "sim" && e.name == "profile-run";
+    return n;
+}
+
+TEST(PipelineTest, EachWorkloadIsProfiledOnce)
+{
+    const Workload *w = findWorkload("164.gzip");
+    ASSERT_NE(w, nullptr);
+    // At jobs 4 the four configurations read the one shared profiled
+    // source concurrently.
+    for (int jobs : {1, 4}) {
+        WorkloadRuns runs;
+        EXPECT_EQ(profileRunsIn([&] {
+                      runs = runWorkload(*w, standardConfigs(),
+                                         trainOpts(jobs));
+                  }),
+                  1)
+            << "jobs " << jobs;
+        EXPECT_TRUE(runs.all_match) << "jobs " << jobs;
+    }
+
+    RunOptions opts = trainOpts(4);
+    opts.only = {"gzip", "mcf"};
+    std::vector<WorkloadRuns> suite;
+    EXPECT_EQ(profileRunsIn(
+                  [&] { suite = runSuite(standardConfigs(), opts); }),
+              2);
+    ASSERT_EQ(suite.size(), 2u);
+    for (const WorkloadRuns &r : suite)
+        EXPECT_TRUE(r.all_match) << r.name;
+}
+
+TEST(PipelineTest, SharedSourceProfiledOnAnotherInputDies)
+{
+    const Workload *w = findWorkload("164.gzip");
+    ASSERT_NE(w, nullptr);
+    const ProfiledSource src = profileSource(*w, InputKind::Train);
+    ASSERT_NE(src.prog, nullptr) << src.error;
+    RunOptions opts;
+    opts.profile_input = InputKind::Ref;
+    EXPECT_DEATH(runConfig(*w, src, Config::Gcc, opts),
+                 "profiled on another input");
 }
 
 TEST(PipelineTest, ParallelInjectionStaysScheduleIndependent)
