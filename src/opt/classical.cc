@@ -2,6 +2,7 @@
 
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "analysis/manager.h"
 #include "support/logging.h"
@@ -135,6 +136,139 @@ isPureAlu(const Instruction &inst)
       default:
         return false;
     }
+}
+
+/**
+ * What one source contributes to a CSE key: its kind and the payload
+ * its printed form shows (register; immediate; symbol and offset;
+ * function).
+ */
+struct KeyPart
+{
+    Operand::Kind kind;
+    uint64_t a = 0, b = 0;
+
+    bool operator==(const KeyPart &) const = default;
+};
+
+KeyPart
+keyPart(const Operand &o)
+{
+    switch (o.kind) {
+      case Operand::Kind::Reg:
+        return {o.kind,
+                static_cast<uint64_t>(o.reg.cls) << 32 |
+                    static_cast<uint32_t>(o.reg.id)};
+      case Operand::Kind::Imm:
+        return {o.kind, static_cast<uint64_t>(o.imm)};
+      case Operand::Kind::Sym:
+        return {o.kind, static_cast<uint32_t>(o.sym),
+                static_cast<uint64_t>(o.imm)};
+      case Operand::Kind::Func:
+        return {o.kind, static_cast<uint32_t>(o.func)};
+      case Operand::Kind::FImm:
+      case Operand::Kind::None:
+        break;
+    }
+    return {o.kind};
+}
+
+/**
+ * Same CSE key: opcode, cond, access size and each source's KeyPart.
+ * Opcode and cond names are unique, so this is equality of the printed
+ * "name/cond,src...;size" key, given that no FImm source (printed with
+ * 6 significant digits) reaches a candidate: only FADD carries one.
+ */
+bool
+sameExpr(const Instruction &a, const Instruction &b)
+{
+    if (a.op != b.op || a.cond != b.cond || a.size != b.size ||
+        a.srcs.size() != b.srcs.size())
+        return false;
+    for (size_t i = 0; i < a.srcs.size(); ++i)
+        if (keyPart(a.srcs[i]) != keyPart(b.srcs[i]))
+            return false;
+    return true;
+}
+
+/** Hash of the sameExpr() key (FNV-1a over 64-bit words). */
+uint64_t
+exprHash(const Instruction &e)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+    mix(static_cast<uint64_t>(e.op) | static_cast<uint64_t>(e.cond) << 8 |
+        static_cast<uint64_t>(e.size) << 16);
+    for (const Operand &o : e.srcs) {
+        const KeyPart k = keyPart(o);
+        mix(static_cast<uint64_t>(k.kind));
+        mix(k.a);
+        mix(k.b);
+    }
+    return h;
+}
+
+/**
+ * Does redefining `d` kill a CSE fact about `expr`? True when d's name
+ * ("gr1") occurs in the printed key, i.e. when some source register of
+ * the same class has d's decimal id as a prefix of its own. That keeps
+ * the key's substring match exactly, over-kill included: defining gr1
+ * also kills expressions over gr12 (DESIGN §4).
+ */
+bool
+readsPrefixOf(const Instruction &expr, Reg d)
+{
+    for (const Operand &o : expr.srcs) {
+        if (!o.isReg())
+            continue;
+        const Reg r = o.reg;
+        if (!r.valid() || !d.valid()) {
+            if (!r.valid() && !d.valid())
+                return true; // both print as "<invalid-reg>"
+            continue;
+        }
+        if (r.cls != d.cls)
+            continue;
+        int32_t id = r.id;
+        while (id > d.id)
+            id /= 10;
+        if (id == d.id && (d.id != 0 || r.id == 0))
+            return true;
+    }
+    return false;
+}
+
+/** One bit of a 64-bit filter for a register name (class + id). */
+uint64_t
+nameBit(RegClass cls, int32_t id)
+{
+    const uint64_t name = static_cast<uint64_t>(static_cast<uint32_t>(id))
+                              << 2 |
+                          static_cast<uint64_t>(cls);
+    return 1ull << ((name * 0x9e3779b97f4a7c15ull) >> 58);
+}
+
+/**
+ * Filter for readsPrefixOf(): the nameBit() of every decimal prefix of
+ * every source register, so readsPrefixOf(expr, d) implies that d's bit
+ * is set.
+ */
+uint64_t
+namePrefixBits(const Instruction &expr)
+{
+    uint64_t bits = 0;
+    for (const Operand &o : expr.srcs) {
+        if (!o.isReg())
+            continue;
+        if (!o.reg.valid())
+            return ~0ull;
+        for (int32_t id = o.reg.id;; id /= 10) {
+            bits |= nameBit(o.reg.cls, id);
+            if (id < 10)
+                break;
+        }
+    }
+    return bits;
 }
 
 } // namespace
@@ -404,130 +538,104 @@ OptStats
 localCse(Function &f, const AliasAnalysis &aa)
 {
     OptStats stats;
+    // An available value: the register that holds it and the recorded
+    // instruction (its index in `out`; the instruction is its own key),
+    // with the key's hash and register-name filter bits so that scans
+    // touch the instruction only on a likely match.
+    struct Avail
+    {
+        Reg value;
+        uint32_t at;
+        uint64_t hash;
+        uint64_t names;
+    };
+    std::vector<Avail> avail; ///< pure ALU expressions
+    std::vector<Avail> loads; ///< loads, also killed by stores/calls
+    std::vector<Instruction> out;
+
+    auto find = [&](const std::vector<Avail> &table, const Instruction &inst,
+                    uint64_t hash) -> const Avail * {
+        for (const Avail &a : table)
+            if (a.hash == hash && sameExpr(out[a.at], inst))
+                return &a;
+        return nullptr;
+    };
+    auto kill = [&](Reg d) {
+        const uint64_t bit = d.valid() ? nameBit(d.cls, d.id) : ~0ull;
+        auto stale = [&](const Avail &a) {
+            return a.value == d ||
+                   ((a.names & bit) && readsPrefixOf(out[a.at], d));
+        };
+        std::erase_if(avail, stale);
+        std::erase_if(loads, stale);
+    };
+
     for (auto &bp : f.blocks) {
         if (!bp)
             continue;
         BasicBlock &b = *bp;
-
-        // Available expressions: (printable key) -> defining value reg.
-        std::map<std::string, Reg> avail;
-        // Available loads: key -> value reg, plus the defining load's
-        // index for dependence filtering.
-        struct AvailLoad
-        {
-            Reg value;
-            Instruction load; ///< copy, for alias queries
-        };
-        std::map<std::string, AvailLoad> loads;
-
-        auto key_of = [](const Instruction &inst) {
-            std::string k = std::string(inst.info().name) + "/" +
-                            cmpCondName(inst.cond);
-            for (const Operand &o : inst.srcs)
-                k += "," + o.str();
-            k += ";" + std::to_string(inst.size);
-            return k;
-        };
-
-        std::vector<Instruction> out;
+        avail.clear();
+        loads.clear();
+        out.clear();
         out.reserve(b.instrs.size());
+
         for (Instruction inst : b.instrs) {
             // 1. Try to replace with an available value.
-            bool replaced = false;
             const bool cse_alu = isPureAlu(inst) && !inst.hasGuard() &&
                                  inst.dests.size() == 1;
             const bool cse_ld = inst.op == Opcode::LD &&
                                 !inst.hasGuard() && !inst.spec;
-            std::string k;
-            if (cse_alu || cse_ld)
-                k = key_of(inst);
-            if (cse_alu) {
-                auto it = avail.find(k);
-                if (it != avail.end()) {
+            std::vector<Avail> *table =
+                cse_alu ? &avail : (cse_ld ? &loads : nullptr);
+            uint64_t hash = 0;
+            if (table) {
+                for (const Operand &o : inst.srcs)
+                    epic_assert(o.kind != Operand::Kind::FImm,
+                                "FP immediate in a CSE candidate: ",
+                                inst.str());
+                hash = exprHash(inst);
+                if (const Avail *hit = find(*table, inst, hash)) {
                     Instruction mv;
                     mv.op = Opcode::MOV;
                     mv.dests = inst.dests;
-                    mv.srcs = {Operand::makeReg(it->second)};
+                    mv.srcs = {Operand::makeReg(hit->value)};
                     out.push_back(mv);
                     ++stats.cse_removed;
-                    replaced = true;
+                    // The replacement MOV redefines the dest: kill stale
+                    // facts about it.
+                    kill(inst.dests[0]);
+                    continue;
                 }
-            } else if (cse_ld) {
-                auto it = loads.find(k);
-                if (it != loads.end()) {
-                    Instruction mv;
-                    mv.op = Opcode::MOV;
-                    mv.dests = inst.dests;
-                    mv.srcs = {Operand::makeReg(it->second.value)};
-                    out.push_back(mv);
-                    ++stats.cse_removed;
-                    replaced = true;
-                }
-            }
-            if (replaced) {
-                // The replacement MOV redefines the dest: kill stale
-                // facts about it.
-                Reg d = inst.dests[0];
-                for (auto it = avail.begin(); it != avail.end();) {
-                    bool uses = it->second == d ||
-                                it->first.find(d.str()) !=
-                                    std::string::npos;
-                    it = uses ? avail.erase(it) : std::next(it);
-                }
-                for (auto it = loads.begin(); it != loads.end();) {
-                    bool uses = it->second.value == d ||
-                                it->first.find(d.str()) !=
-                                    std::string::npos;
-                    it = uses ? loads.erase(it) : std::next(it);
-                }
-                continue;
             }
 
             // 2. Kill facts invalidated by this instruction.
-            for (const Reg &d : inst.dests) {
-                for (auto it = avail.begin(); it != avail.end();) {
-                    bool uses = it->second == d ||
-                                it->first.find(d.str()) !=
-                                    std::string::npos;
-                    it = uses ? avail.erase(it) : std::next(it);
-                }
-                for (auto it = loads.begin(); it != loads.end();) {
-                    bool uses = it->second.value == d ||
-                                it->first.find(d.str()) !=
-                                    std::string::npos;
-                    it = uses ? loads.erase(it) : std::next(it);
-                }
-            }
+            for (const Reg &d : inst.dests)
+                kill(d);
             if (inst.isStore()) {
-                for (auto it = loads.begin(); it != loads.end();) {
-                    if (aa.mayAlias(f, inst, it->second.load))
-                        it = loads.erase(it);
-                    else
-                        ++it;
-                }
+                std::erase_if(loads, [&](const Avail &a) {
+                    return aa.mayAlias(f, inst, out[a.at]);
+                });
             } else if (inst.isCall()) {
-                for (auto it = loads.begin(); it != loads.end();) {
-                    if (aa.callMayTouch(inst, it->second.load))
-                        it = loads.erase(it);
-                    else
-                        ++it;
-                }
+                std::erase_if(loads, [&](const Avail &a) {
+                    return aa.callMayTouch(inst, out[a.at]);
+                });
             }
 
             // 3. Record the new availability — unless the expression
             // reads its own destination (e.g. add x = x, 1), whose key
             // now refers to a stale value.
-            bool self_ref = false;
-            for (const Reg &d : inst.dests)
-                if (k.find(d.str()) != std::string::npos)
-                    self_ref = true;
-            if (cse_alu && !self_ref)
-                avail[k] = inst.dests[0];
-            else if (cse_ld && !self_ref)
-                loads[k] = AvailLoad{inst.dests[0], inst};
-            out.push_back(std::move(inst));
+            if (table) {
+                bool self_ref = false;
+                for (const Reg &d : inst.dests)
+                    self_ref = self_ref || readsPrefixOf(inst, d);
+                if (!self_ref)
+                    table->push_back(
+                        Avail{inst.dests[0], static_cast<uint32_t>(out.size()),
+                              hash, namePrefixBits(inst)});
+            }
+            out.push_back(inst);
         }
-        b.instrs = std::move(out);
+        b.instrs = out;
     }
     return stats;
 }

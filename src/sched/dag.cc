@@ -33,22 +33,6 @@ isCmpOp(const Instruction &inst)
 
 } // namespace
 
-void
-DepDag::addEdge(int from, int to, int lat, DepKind kind)
-{
-    // Coalesce: keep only the strongest (max-latency) edge per pair.
-    for (int ei : succs_[from]) {
-        if (edges_[ei].to == to) {
-            edges_[ei].latency = std::max(edges_[ei].latency, lat);
-            return;
-        }
-    }
-    int id = static_cast<int>(edges_.size());
-    edges_.push_back(DagEdge{from, to, lat, kind});
-    succs_[from].push_back(id);
-    preds_[to].push_back(id);
-}
-
 DepDag::DepDag(const Function &f, const BasicBlock &b,
                const AliasAnalysis &aa, const MachineConfig &mach,
                const PredRelations &prel)
@@ -58,6 +42,42 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
     succs_.resize(n_);
     heights_.assign(n_, 0);
 
+    // Each instruction's defs and uses, computed once: instruction k's
+    // are [off[k], off[k + 1]) of the flat arrays.
+    std::vector<Reg> defs, uses, tmp;
+    std::vector<int> def_off(n_ + 1, 0), use_off(n_ + 1, 0);
+    for (int k = 0; k < n_; ++k) {
+        instrDefs(b.instrs[k], tmp);
+        defs.insert(defs.end(), tmp.begin(), tmp.end());
+        def_off[k + 1] = static_cast<int>(defs.size());
+        instrUses(b.instrs[k], tmp);
+        uses.insert(uses.end(), tmp.begin(), tmp.end());
+        use_off[k + 1] = static_cast<int>(uses.size());
+    }
+    auto span = [](const std::vector<Reg> &v, const std::vector<int> &off,
+                   int k) {
+        return Span<const Reg>{v.data() + off[k],
+                               static_cast<uint32_t>(off[k + 1] - off[k])};
+    };
+
+    // Every edge into `to` is added while `to` is the instruction being
+    // processed, so the id of the edge from each earlier op (-1: none
+    // yet) coalesces in O(1); it is reset from preds_[to] once `to` is
+    // done.
+    std::vector<int> edge_from(n_, -1);
+    auto add_edge = [&](int from, int to, int lat) {
+        // Coalesce: keep only the strongest (max-latency) edge per pair.
+        if (int ei = edge_from[from]; ei >= 0) {
+            edges_[ei].latency = std::max(edges_[ei].latency, lat);
+            return;
+        }
+        int id = static_cast<int>(edges_.size());
+        edges_.push_back(DagEdge{from, to, lat});
+        succs_[from].push_back(id);
+        preds_[to].push_back(id);
+        edge_from[from] = id;
+    };
+
     auto disjoint = [&](int i, int j) {
         Reg gi = effectiveGuard(b.instrs[i]);
         Reg gj = effectiveGuard(b.instrs[j]);
@@ -66,18 +86,17 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
         return prel.disjointAt(i, gi, gj) && prel.disjointAt(j, gi, gj);
     };
 
-    std::vector<Reg> defs_i, uses_i, defs_j, uses_j;
     int last_branch = -1;
 
     for (int i = 0; i < n_; ++i) {
         const Instruction &ii = b.instrs[i];
-        instrDefs(ii, defs_i);
-        instrUses(ii, uses_i);
+        const Span<const Reg> defs_i = span(defs, def_off, i);
+        const Span<const Reg> uses_i = span(uses, use_off, i);
 
         for (int j = i - 1; j >= 0; --j) {
             const Instruction &ij = b.instrs[j];
-            instrDefs(ij, defs_j);
-            instrUses(ij, uses_j);
+            const Span<const Reg> defs_j = span(defs, def_off, j);
+            const Span<const Reg> uses_j = span(uses, use_off, j);
             bool dj = disjoint(i, j);
 
             // Register RAW: j defines something i reads.
@@ -114,7 +133,7 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
                         guard_only = false;
                 if (isCmpOp(ij) && ii.isBranch() && guard_only)
                     lat = 0;
-                addEdge(j, i, lat, DepKind::RegRaw);
+                add_edge(j, i, lat);
             }
 
             // Register WAR: j reads something i writes.
@@ -122,7 +141,7 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
                 for (const Reg &u : uses_j) {
                     if (u == d) {
                         if (!dj)
-                            addEdge(j, i, 0, DepKind::RegWar);
+                            add_edge(j, i, 0);
                     }
                 }
             }
@@ -131,7 +150,7 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
             for (const Reg &d : defs_i) {
                 for (const Reg &d2 : defs_j) {
                     if (d == d2 && !dj)
-                        addEdge(j, i, 1, DepKind::RegWaw);
+                        add_edge(j, i, 1);
                 }
             }
         }
@@ -165,14 +184,14 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
                     }
                 }
                 if (conflict && !disjoint(i, j))
-                    addEdge(j, i, 1, DepKind::Mem);
+                    add_edge(j, i, 1);
             }
         }
 
         // Control dependences.
         if (ii.op == Opcode::ALLOC) {
             for (int j = 0; j < i; ++j)
-                addEdge(j, i, 1, DepKind::Control);
+                add_edge(j, i, 1);
         }
         if (ii.isBranch()) {
             // Nothing before the branch may sink below it (latency 0
@@ -181,15 +200,17 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
             // already transitively ordered through it.
             int j0 = last_branch >= 0 ? last_branch : 0;
             for (int j = j0; j < i; ++j)
-                addEdge(j, i, j == last_branch ? 1 : 0, DepKind::Control);
+                add_edge(j, i, j == last_branch ? 1 : 0);
             last_branch = i;
         } else if (last_branch >= 0) {
             // Nothing after a branch may hoist above it.
-            addEdge(last_branch, i, 1, DepKind::Control);
+            add_edge(last_branch, i, 1);
         }
         if (last_branch >= 0 && ii.op == Opcode::ALLOC) {
-            addEdge(last_branch, i, 1, DepKind::Control);
+            add_edge(last_branch, i, 1);
         }
+        for (int ei : preds_[i])
+            edge_from[edges_[ei].from] = -1;
     }
 
     // Heights (reverse topological order = reverse index order, since all
@@ -200,15 +221,6 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
             h = std::max(h, edges_[ei].latency + heights_[edges_[ei].to]);
         heights_[i] = h;
     }
-}
-
-int
-DepDag::criticalPathLength() const
-{
-    int h = 0;
-    for (int i = 0; i < n_; ++i)
-        h = std::max(h, heights_[i] + 1);
-    return h;
 }
 
 } // namespace epic

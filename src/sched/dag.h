@@ -27,16 +27,12 @@
 
 namespace epic {
 
-/** Dependence kinds (diagnostic). */
-enum class DepKind : uint8_t { RegRaw, RegWar, RegWaw, Mem, Control };
-
 /** One DAG edge. */
 struct DagEdge
 {
     int from;
     int to;
     int latency;
-    DepKind kind;
 };
 
 /** Dependence DAG over one block's instructions. */
@@ -58,12 +54,7 @@ class DepDag
     /** Critical-path height (longest latency path from i to any sink). */
     int height(int i) const { return heights_[i]; }
 
-    /** Longest path through the whole block (the "dependence height"). */
-    int criticalPathLength() const;
-
   private:
-    void addEdge(int from, int to, int lat, DepKind kind);
-
     int n_;
     std::vector<DagEdge> edges_;
     std::vector<std::vector<int>> preds_, succs_;

@@ -1,6 +1,7 @@
 #include "sched/listsched.h"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 
 #include "analysis/manager.h"
@@ -11,68 +12,136 @@ namespace epic {
 
 namespace {
 
+/// Most ops one issue group can hold: two bundles of three slots.
+constexpr int kMaxGroupOps = 6;
+constexpr int kNumFuClasses = 5;
+/// FU-class sequences of 0..kMaxGroupOps ops (sum of 5^k: 19,531).
+constexpr int kNumFuSeqs = [] {
+    int n = 0;
+    for (int k = 0, seqs = 1; k <= kMaxGroupOps; ++k, seqs *= kNumFuClasses)
+        n += seqs;
+    return n;
+}();
+
 /**
- * Try to pack `ops` (instruction indices of one issue group, non-branches
- * first, branches last in source order) into at most `max_bundles`
- * bundles. Returns the packing with the fewest bundles (then fewest
- * NOPs), or nullopt when infeasible.
+ * A packing choice: how many bundles (0: infeasible) and their
+ * templates. Encoded as 1 | bundles << 1 | t1 << 3 | t2 << 7 so that 0
+ * marks a cache slot not filled yet.
  */
-std::optional<std::vector<Bundle>>
-packGroup(const BasicBlock &b, const std::vector<int> &ops, int max_bundles)
+struct PackChoice
 {
-    // Greedy in-order matcher for one template sequence.
-    auto try_templates =
-        [&](const std::vector<int> &tmpls)
-        -> std::optional<std::vector<Bundle>> {
-        std::vector<Bundle> result;
-        size_t next_op = 0;
-        for (int t : tmpls) {
-            Bundle bun;
-            bun.tmpl = static_cast<uint8_t>(t);
-            for (int s = 0; s < 3; ++s) {
-                if (next_op < ops.size() &&
-                    fuFitsSlot(b.instrs[ops[next_op]].info().fu,
-                               kTemplates[t].slots[s])) {
-                    bun.slots[s] = static_cast<int16_t>(ops[next_op]);
-                    ++next_op;
-                } else {
-                    bun.slots[s] = kSlotNop;
-                }
-            }
-            result.push_back(bun);
-        }
-        if (next_op != ops.size())
-            return std::nullopt;
-        result.back().stop_after = true;
-        return result;
-    };
+    int bundles = 0;
+    int tmpl[2] = {0, 0};
 
-    std::optional<std::vector<Bundle>> best;
-    int best_nops = 0;
-    auto consider = [&](const std::vector<int> &tmpls) {
-        auto r = try_templates(tmpls);
-        if (!r)
-            return;
-        int nops = 0;
-        for (const Bundle &bun : *r)
-            for (int16_t s : bun.slots)
-                if (s == kSlotNop)
-                    ++nops;
-        if (!best || r->size() < best->size() ||
-            (r->size() == best->size() && nops < best_nops)) {
-            best = std::move(r);
-            best_nops = nops;
-        }
-    };
-
-    for (int t1 = 0; t1 < kNumTemplates; ++t1)
-        consider({t1});
-    if (max_bundles >= 2 && ops.size() > 1) {
-        for (int t1 = 0; t1 < kNumTemplates; ++t1)
-            for (int t2 = 0; t2 < kNumTemplates; ++t2)
-                consider({t1, t2});
+    uint16_t
+    encode() const
+    {
+        return static_cast<uint16_t>(1 | bundles << 1 | tmpl[0] << 3 |
+                                     tmpl[1] << 7);
     }
-    return best;
+    static PackChoice
+    decode(uint16_t v)
+    {
+        return {(v >> 1) & 3, {(v >> 3) & 15, (v >> 7) & 15}};
+    }
+};
+static_assert(kNumTemplates <= 16, "template index needs 4 bits");
+
+/**
+ * Greedy in-order matcher: place `fu[0..n)` into the bundles of `c` in
+ * slot order, each op in the first slot it fits from where the previous
+ * one went. Calls place(bundle, slot, op) per filled slot; true when
+ * every op found a slot.
+ */
+template <typename Place>
+bool
+matchSlots(const FuClass *fu, int n, const PackChoice &c, Place place)
+{
+    int next = 0;
+    for (int k = 0; k < c.bundles; ++k)
+        for (int s = 0; s < 3; ++s)
+            if (next < n &&
+                fuFitsSlot(fu[next], kTemplates[c.tmpl[k]].slots[s]))
+                place(k, s, next++);
+    return next == n;
+}
+
+/**
+ * The template search: every one-bundle template, then (when two
+ * bundles are allowed and there are two or more ops) every two-bundle
+ * pair, keeping the fewest bundles and then the fewest NOPs. A packing
+ * that fits leaves 3 * bundles - n NOPs, so the first fit of the
+ * smallest bundle count wins.
+ */
+PackChoice
+searchPacking(const FuClass *fu, int n, bool two_bundles)
+{
+    auto nothing = [](int, int, int) {};
+    for (int t1 = 0; t1 < kNumTemplates; ++t1) {
+        PackChoice c{1, {t1, 0}};
+        if (matchSlots(fu, n, c, nothing))
+            return c;
+    }
+    if (two_bundles && n > 1) {
+        for (int t1 = 0; t1 < kNumTemplates; ++t1)
+            for (int t2 = 0; t2 < kNumTemplates; ++t2) {
+                PackChoice c{2, {t1, t2}};
+                if (matchSlots(fu, n, c, nothing))
+                    return c;
+            }
+    }
+    return {};
+}
+
+/**
+ * searchPacking() memoized per (FU-class sequence, one or two bundles).
+ * Slots fill on first use: filling all 39,062 up front would cost a
+ * search per key in every process, and most keys never occur. Each slot
+ * is an atomic that concurrent compiles may fill twice, always with the
+ * same value.
+ */
+PackChoice
+cachedPacking(const FuClass *fu, int n, int max_bundles)
+{
+    if (n > kMaxGroupOps)
+        return {};
+    static std::atomic<uint16_t> cache[2][kNumFuSeqs];
+    int key = 0, base = 0, pow = 1;
+    for (int k = 0; k < n; ++k) {
+        key += static_cast<int>(fu[k]) * pow;
+        base += pow;
+        pow *= kNumFuClasses;
+    }
+    const bool two = max_bundles >= 2;
+    std::atomic<uint16_t> &slot = cache[two][base + key];
+    uint16_t v = slot.load();
+    if (v == 0) {
+        v = searchPacking(fu, n, two).encode();
+        slot.store(v);
+    }
+    return PackChoice::decode(v);
+}
+
+/** The FU classes of `ops`, or false when there are too many to pack. */
+bool
+fuClassesOf(const BasicBlock &b, const std::vector<int> &ops,
+            FuClass (&fu)[kMaxGroupOps])
+{
+    if (ops.size() > static_cast<size_t>(kMaxGroupOps))
+        return false;
+    for (size_t k = 0; k < ops.size(); ++k)
+        fu[k] = b.instrs[ops[k]].info().fu;
+    return true;
+}
+
+/** Does packGroup() find a packing for `ops`? */
+bool
+packs(const BasicBlock &b, const std::vector<int> &ops, int max_bundles)
+{
+    FuClass fu[kMaxGroupOps];
+    return fuClassesOf(b, ops, fu) &&
+           cachedPacking(fu, static_cast<int>(ops.size()), max_bundles)
+                   .bundles > 0;
 }
 
 /** Dispersal counters for group feasibility. */
@@ -143,9 +212,20 @@ scheduleBlock(const Function &f, BasicBlock &b, AnalysisManager &am,
         if (unsched_preds[i] == 0)
             ready.push_back(i);
 
+    // Slot order within a group: non-branches before branches, both in
+    // source order.
+    auto slot_order = [&](int x, int y) {
+        bool bx = b.instrs[x].isBranch();
+        bool by = b.instrs[y].isBranch();
+        if (bx != by)
+            return !bx;
+        return x < y;
+    };
+
     int scheduled = 0;
     int cycle = 0;
     std::vector<std::vector<int>> groups;
+    std::vector<int> cands, trial_group;
 
     while (scheduled < n) {
         std::vector<int> group;
@@ -157,7 +237,7 @@ scheduleBlock(const Function &f, BasicBlock &b, AnalysisManager &am,
         bool progress = true;
         while (progress) {
             progress = false;
-            std::vector<int> cands;
+            cands.clear();
             for (int i : ready)
                 if (ready_cycle[i] <= cycle)
                     cands.push_back(i);
@@ -179,24 +259,17 @@ scheduleBlock(const Function &f, BasicBlock &b, AnalysisManager &am,
                     continue;
                 }
                 // Tentative pack check (branch placement, templates).
-                std::vector<int> trial_group = group;
-                trial_group.push_back(i);
-                // Non-branches before branches, both in source order.
-                std::stable_sort(trial_group.begin(), trial_group.end(),
-                                 [&](int x, int y) {
-                                     bool bx = b.instrs[x].isBranch();
-                                     bool by = b.instrs[y].isBranch();
-                                     if (bx != by)
-                                         return !bx;
-                                     return x < y;
-                                 });
-                if (!packGroup(b, trial_group,
-                               mach.max_bundles_per_group)) {
+                trial_group = group;
+                trial_group.insert(std::lower_bound(trial_group.begin(),
+                                                    trial_group.end(), i,
+                                                    slot_order),
+                                   i);
+                if (!packs(b, trial_group, mach.max_bundles_per_group)) {
                     if (mach.source_order_scheduling)
                         break;
                     continue;
                 }
-                group = std::move(trial_group);
+                group.swap(trial_group);
                 res = trial;
                 // Commit the op so its successors can become ready.
                 b.instrs[i].sched_cycle = cycle;
@@ -250,6 +323,26 @@ scheduleBlock(const Function &f, BasicBlock &b, AnalysisManager &am,
 }
 
 } // namespace
+
+std::optional<std::vector<Bundle>>
+packGroup(const BasicBlock &b, const std::vector<int> &ops, int max_bundles)
+{
+    FuClass fu[kMaxGroupOps];
+    if (!fuClassesOf(b, ops, fu))
+        return std::nullopt;
+    const int n = static_cast<int>(ops.size());
+    const PackChoice c = cachedPacking(fu, n, max_bundles);
+    if (c.bundles == 0)
+        return std::nullopt;
+    std::vector<Bundle> out(c.bundles);
+    for (int k = 0; k < c.bundles; ++k)
+        out[k].tmpl = static_cast<uint8_t>(c.tmpl[k]);
+    matchSlots(fu, n, c, [&](int k, int s, int op) {
+        out[k].slots[s] = static_cast<int16_t>(ops[op]);
+    });
+    out.back().stop_after = true;
+    return out;
+}
 
 SchedStats
 scheduleFunction(Function &f, const AliasAnalysis &aa,

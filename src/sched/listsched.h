@@ -12,6 +12,9 @@
 #ifndef EPIC_SCHED_LISTSCHED_H
 #define EPIC_SCHED_LISTSCHED_H
 
+#include <optional>
+#include <vector>
+
 #include "analysis/alias.h"
 #include "ir/program.h"
 #include "mach/machine.h"
@@ -54,6 +57,18 @@ struct SchedStats
                    : 0.0;
     }
 };
+
+/**
+ * Pack `ops` (instruction indices of one issue group of `b`, non-branches
+ * first, branches last, each in source order) into at most `max_bundles`
+ * bundles (one or two): the packing with the fewest bundles, then the
+ * fewest NOPs, its last bundle carrying the stop bit; nullopt when
+ * infeasible. The choice depends only on the ops' FU classes and is
+ * cached per class sequence for the life of the process.
+ */
+std::optional<std::vector<Bundle>> packGroup(const BasicBlock &b,
+                                             const std::vector<int> &ops,
+                                             int max_bundles);
 
 /** Schedule every block of a function into bundles. */
 SchedStats scheduleFunction(Function &f, const AliasAnalysis &aa,

@@ -10,7 +10,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
+#include <map>
 #include <sstream>
 
 #include "driver/experiment.h"
@@ -18,6 +20,7 @@
 #include "ir/printer.h"
 #include "sim/interp.h"
 #include "support/faultinject.h"
+#include "support/supervision/manifest.h"
 #include "support/telemetry/trace.h"
 #include "support/threadpool.h"
 #include "workloads/workload.h"
@@ -155,6 +158,83 @@ TEST(PipelineTest, ParallelCompileIsBitIdentical)
     printProgram(pa, *a.prog);
     printProgram(pb, *b.prog);
     EXPECT_EQ(pa.str(), pb.str());
+}
+
+/** FNV-1a of the printed program chained with every bundle's template
+ *  (the printer shows slot contents, not templates). */
+std::string
+codeDigest(const Program &p)
+{
+    std::ostringstream os;
+    printProgram(os, p);
+    std::string tmpls;
+    for (const auto &f : p.funcs)
+        if (f)
+            for (const auto &b : f->blocks)
+                if (b)
+                    for (const Bundle &bun : b->bundles)
+                        tmpls += static_cast<char>(bun.tmpl);
+    return hashHex(fnv1a(tmpls, fnv1a(os.str())));
+}
+
+TEST(PipelineTest, CompiledCodeMatchesGoldenDigests)
+{
+    // One digest per rung, GCC .. ILP-CS-DS. Compile-speed work must
+    // leave every one unchanged; a deliberate code change re-pins them.
+    const std::map<std::string, std::array<const char *, 5>> golden = {
+        {"164.gzip",
+         {"399781f7bb3b8d81", "d8006f83f58c04f2", "50663c028aa17556",
+          "068efb090ed29ff7", "fcbcd30222b5db7b"}},
+        {"175.vpr",
+         {"9006a4e8eec7ca02", "b57b7fb90ddb7749", "66db484b1955bb0a",
+          "66db484b1955bb0a", "66db484b1955bb0a"}},
+        {"176.gcc",
+         {"3d6f176ffda3d854", "720845ab29466c5b", "68225a0c26e7f472",
+          "e4fcd0d1a6f01dc6", "e4fcd0d1a6f01dc6"}},
+        {"181.mcf",
+         {"067d5e7aa7f8125d", "b626603f32d717a8", "1a26c23458f89508",
+          "42074b01bc16857e", "42074b01bc16857e"}},
+        {"186.crafty",
+         {"f955fd952cbe96c3", "f7afcdf50d3564b3", "2d5eee53a88cd806",
+          "b72d407c007d201d", "b72d407c007d201d"}},
+        {"197.parser",
+         {"c0387a16f3dc48cb", "5b62f5e75b9fe2ca", "97f49c65ad9b5745",
+          "9099b6710d66698a", "9099b6710d66698a"}},
+        {"252.eon",
+         {"9d60948a661cd8f6", "6aaf46a50ebbfc57", "86c5e730fd5ef3b9",
+          "0bf4124b50865092", "0bf4124b50865092"}},
+        {"253.perlbmk",
+         {"9be11f8ad3bad56e", "4d27e730eee1adc9", "e9316c1d5ad0ec1d",
+          "c2a751ff48fdb4a9", "c2a751ff48fdb4a9"}},
+        {"254.gap",
+         {"2ac6b982014d2733", "527830e165517c90", "df25f83cede59eaf",
+          "e79684fcbe26c31a", "e5d00daf30bf53c2"}},
+        {"255.vortex",
+         {"fc234a1a71bdb9f0", "e8695a1f31044c04", "b9870ab751f82b48",
+          "2020f61858ea66f3", "2020f61858ea66f3"}},
+        {"256.bzip2",
+         {"37a456ab9fabdf76", "752cb4c8c7d8b9a0", "8b22441cb73bbd82",
+          "5c806b87e9e95130", "dc4506207077cef7"}},
+        {"300.twolf",
+         {"5843c5eeda1b3e94", "78326de0ce376c0d", "a1caa9940b193f54",
+          "ec9150bf4e447779", "ec9150bf4e447779"}},
+    };
+    const Config rungs[] = {Config::Gcc, Config::ONS, Config::IlpNs,
+                            Config::IlpCs, Config::IlpCsDs};
+    for (const Workload &w : allWorkloads()) {
+        auto src = profiled(w);
+        std::string got;
+        for (Config c : rungs) {
+            Compiled out = compileProgram(*src, c);
+            EXPECT_TRUE(out.fallback.clean()) << w.name;
+            got += " " + codeDigest(*out.prog);
+        }
+        std::string want;
+        if (auto it = golden.find(w.name); it != golden.end())
+            for (const char *d : it->second)
+                want += std::string(" ") + d;
+        EXPECT_EQ(got, want) << w.name;
+    }
 }
 
 TEST(PipelineTest, PassCountersAccountForEveryInstruction)

@@ -7,6 +7,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "ir/builder.h"
 #include "ir/verifier.h"
 #include "sched/listsched.h"
@@ -171,6 +175,120 @@ TEST(SchedTest, NopsAccounted)
     SchedStats s = compileLowLevel(p);
     EXPECT_GT(s.nops, 0); // tiny serial block cannot fill its slots
     EXPECT_EQ(s.ops + s.nops, s.bundles * 3);
+}
+
+/**
+ * The packer's specification, searched without a cache: every one-bundle
+ * template, then (two bundles allowed, two or more ops) every pair, each
+ * filled by the greedy in-order slot matcher; the fewest bundles win,
+ * then the fewest NOPs, then the first found.
+ */
+std::optional<std::vector<Bundle>>
+referencePack(const BasicBlock &b, const std::vector<int> &ops,
+              int max_bundles)
+{
+    auto fill = [&](const std::vector<int> &tmpls)
+        -> std::optional<std::vector<Bundle>> {
+        std::vector<Bundle> out;
+        size_t next = 0;
+        for (int t : tmpls) {
+            Bundle bun;
+            bun.tmpl = static_cast<uint8_t>(t);
+            for (int s = 0; s < 3; ++s)
+                if (next < ops.size() &&
+                    fuFitsSlot(b.instrs[ops[next]].info().fu,
+                               kTemplates[t].slots[s]))
+                    bun.slots[s] = static_cast<int16_t>(ops[next++]);
+            out.push_back(bun);
+        }
+        if (next != ops.size())
+            return std::nullopt;
+        out.back().stop_after = true;
+        return out;
+    };
+    auto nops = [](const std::vector<Bundle> &bs) {
+        int n = 0;
+        for (const Bundle &bun : bs)
+            for (int16_t s : bun.slots)
+                n += s == kSlotNop;
+        return n;
+    };
+    std::optional<std::vector<Bundle>> best;
+    auto consider = [&](const std::vector<int> &tmpls) {
+        auto r = fill(tmpls);
+        if (r && (!best || r->size() < best->size() ||
+                  (r->size() == best->size() && nops(*r) < nops(*best))))
+            best = std::move(r);
+    };
+    for (int t1 = 0; t1 < kNumTemplates; ++t1)
+        consider({t1});
+    if (max_bundles >= 2 && ops.size() > 1)
+        for (int t1 = 0; t1 < kNumTemplates; ++t1)
+            for (int t2 = 0; t2 < kNumTemplates; ++t2)
+                consider({t1, t2});
+    return best;
+}
+
+std::string
+packingStr(const std::optional<std::vector<Bundle>> &p)
+{
+    if (!p)
+        return "infeasible";
+    std::string s;
+    for (const Bundle &bun : *p) {
+        s += kTemplates[bun.tmpl].name;
+        for (int16_t slot : bun.slots) {
+            s += ' ';
+            s += std::to_string(slot);
+        }
+        s += bun.stop_after ? " ;; " : " | ";
+    }
+    return s;
+}
+
+TEST(SchedTest, CachedPackerMatchesTemplateSearchExhaustively)
+{
+    // Instruction 5k + c has FU class c, so any class sequence of up to
+    // six ops is a list of distinct, ascending indices.
+    const Opcode by_class[] = {Opcode::ADD, Opcode::SHL, Opcode::LD,
+                               Opcode::FADD, Opcode::BR};
+    Program p;
+    IRBuilder ib(p);
+    Function *f = ib.beginFunction("main", 0);
+    BasicBlock &b = *f->block(f->entry);
+    for (int k = 0; k < 6; ++k)
+        for (int c = 0; c < 5; ++c) {
+            Instruction inst;
+            inst.op = by_class[c];
+            ASSERT_EQ(static_cast<int>(inst.info().fu), c);
+            b.append(inst);
+        }
+
+    int feasible = 0, total = 0;
+    for (int max_bundles : {1, 2}) {
+        for (int n = 1; n <= 6; ++n) {
+            int combos = 1;
+            for (int k = 0; k < n; ++k)
+                combos *= 5;
+            std::vector<int> ops(n);
+            for (int code = 0; code < combos; ++code) {
+                for (int k = 0, rest = code; k < n; ++k, rest /= 5)
+                    ops[k] = 5 * k + rest % 5;
+                const std::string want =
+                    packingStr(referencePack(b, ops, max_bundles));
+                // First call fills the cache, the second reads it.
+                ASSERT_EQ(packingStr(packGroup(b, ops, max_bundles)), want)
+                    << "n=" << n << " code=" << code
+                    << " max_bundles=" << max_bundles;
+                ASSERT_EQ(packingStr(packGroup(b, ops, max_bundles)), want);
+                feasible += want != "infeasible";
+                ++total;
+            }
+        }
+    }
+    EXPECT_EQ(total, 2 * (5 + 25 + 125 + 625 + 3125 + 15625));
+    EXPECT_GT(feasible, 0);
+    EXPECT_LT(feasible, total);
 }
 
 TEST(SchedTest, ScheduledOrderSemanticsForBranchyLoop)
