@@ -59,9 +59,11 @@ class Alat
         for (int i = 0; i < assoc_; ++i) {
             if (!set[i].valid) {
                 set[i] = Entry{addr, reg_id, size, true};
+                ++nvalid_;
                 return;
             }
         }
+        // Set full: the round-robin victim is valid, so the count holds.
         uint32_t &rr = rr_[static_cast<size_t>(setIndex(reg_id))];
         set[rr] = Entry{addr, reg_id, size, true};
         rr = (rr + 1) % static_cast<uint32_t>(assoc_);
@@ -81,14 +83,21 @@ class Alat
         return false;
     }
 
-    /** Committing store: drop every overlapping entry. */
+    /** Committing store: drop every overlapping entry. O(1) while the
+     *  table is empty, as it is for the whole run of any code without
+     *  ld.a. */
     void
     invalidate(uint64_t addr, uint8_t size)
     {
+        if (nvalid_ == 0)
+            return;
         const uint64_t hi = addr + size;
-        for (Entry &e : slots_)
-            if (e.valid && e.addr < hi && addr < e.addr + e.size)
+        for (Entry &e : slots_) {
+            if (e.valid && e.addr < hi && addr < e.addr + e.size) {
                 e.valid = false;
+                --nvalid_;
+            }
+        }
     }
 
     /** Calls and returns flush the table (conservative IA-64 subset:
@@ -96,8 +105,11 @@ class Alat
     void
     flushAll()
     {
+        if (nvalid_ == 0)
+            return;
         for (Entry &e : slots_)
             e.valid = false;
+        nvalid_ = 0;
     }
 
     /** Chaos injection (SimAlatCorrupt): flip one valid entry's tag so
@@ -133,11 +145,13 @@ class Alat
     {
         epic_assert(r.u64() == slots_.size(),
                     "checkpoint ALAT geometry mismatch");
+        nvalid_ = 0;
         for (Entry &e : slots_) {
             e.valid = r.u8() != 0;
             e.reg = static_cast<int32_t>(r.i64());
             e.addr = r.u64();
             e.size = r.u8();
+            nvalid_ += e.valid ? 1 : 0;
         }
         epic_assert(r.u64() == rr_.size(),
                     "checkpoint ALAT geometry mismatch");
@@ -174,6 +188,10 @@ class Alat
 
     int assoc_ = 1;
     int nsets_ = 1;
+    /// Count of valid slots, kept by every operation that sets or clears
+    /// a valid bit and recounted by loadState(); the blob does not carry
+    /// it.
+    int nvalid_ = 0;
     std::vector<Entry> slots_;
     std::vector<uint32_t> rr_; ///< per-set round-robin victim cursor
 };

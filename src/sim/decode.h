@@ -245,7 +245,12 @@ class DecodedProgram
 
 namespace detail {
 
-/** Evaluate a Gr-or-immediate decoded source operand. */
+/** Evaluate a Gr-or-immediate decoded source operand. Forced inline
+ *  like the kernel: GCC otherwise emits it out of line, a call per
+ *  operand. */
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((always_inline))
+#endif
 inline GrVal
 evalGrDec(const Program &prog, const Frame &f, const DecodedOp &o)
 {

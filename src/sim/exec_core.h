@@ -34,8 +34,18 @@ struct GrVal
     bool nat = false;
 };
 
-/** One activation record (IA-64 register stack semantics: registers are
- *  private to the frame). */
+/**
+ * One activation record (IA-64 register stack semantics: registers are
+ * private to the frame).
+ *
+ * Slot 0 of the general and predicate files is architected: gr[0] is
+ * r0, hardwired to {0, not NaT}, and pr[0] is p0, hardwired true.
+ * reset() establishes both and writeGr()/writePr() never write slot 0,
+ * so the read accessors index the files directly with no r0/p0 test
+ * (they run for every register operand and every guard). Pooled
+ * frames keep the invariant because reuse goes through reset(), and a
+ * checkpoint restores register files saved from frames that kept it.
+ */
 struct Frame
 {
     const Function *fn = nullptr;
@@ -84,7 +94,7 @@ struct Frame
         gr.assign(ngr, GrVal{});
         fr.assign(nfr, 0.0);
         pr.assign(npr, 0);
-        pr[0] = 1;
+        pr[0] = 1; // p0; r0 is the GrVal{} assigned above
         gr[kGrSp.id] = GrVal{static_cast<int64_t>(sp), false};
     }
 
@@ -98,8 +108,6 @@ struct Frame
     GrVal
     readGr(Reg r) const
     {
-        if (r.id == 0)
-            return GrVal{0, false};
         return gr[r.id];
     }
     void
@@ -111,8 +119,6 @@ struct Frame
     bool
     readPr(Reg r) const
     {
-        if (r.id == 0)
-            return true;
         return pr[r.id] != 0;
     }
     void
@@ -208,6 +214,11 @@ fcmpEval(CmpCond cond, double a, double b)
     return false;
 }
 
+/** Integer ALU result. Forced inline like the kernel itself: out of
+ *  line, every ALU op would pay a call plus a second opcode switch. */
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((always_inline))
+#endif
 inline int64_t
 aluEval(Opcode op, int64_t a, int64_t b, Effect &eff)
 {

@@ -317,9 +317,12 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
     int64_t rse_spilled = 0;
 
     // Store ring for micropipe: the 16 most recent stores (cycle,
-    // address). Whether a load is charged does not depend on which
-    // in-window entry matches, so scan order is free and a plain
-    // cyclic overwrite array suffices.
+    // address), a plain cyclic overwrite array. Stores enter it in
+    // non-decreasing cycle order (a store records its group's issue
+    // time, and issue times strictly increase), so a load scans it
+    // newest first and stops at the first store outside the window.
+    // Whether a load is charged does not depend on which in-window
+    // entry matches.
     struct StoreRec
     {
         int64_t cyc;
@@ -935,14 +938,16 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                                                       group.attr_union);
 
                                 // Micropipe: spurious store-to-load
-                                // forwarding.
+                                // forwarding, newest store first.
                                 const uint32_t nst =
                                     store_count < 16 ? store_count : 16;
-                                for (uint32_t sk = 0; sk < nst; ++sk) {
-                                    const int64_t sc = store_ring[sk].cyc;
-                                    const uint64_t sa = store_ring[sk].addr;
+                                for (uint32_t k = 1; k <= nst; ++k) {
+                                    const StoreRec &sr =
+                                        store_ring[(store_count - k) & 15u];
+                                    const int64_t sc = sr.cyc;
+                                    const uint64_t sa = sr.addr;
                                     if (issue - sc > mach.stlf_window)
-                                        continue;
+                                        break; // all older ones too
                                     bool index_match =
                                         ((sa >> 3) & 0x7f) ==
                                         ((eff.addr >> 3) & 0x7f);
