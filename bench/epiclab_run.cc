@@ -127,8 +127,7 @@ usage()
            "invalidate\n"
            "                                      faults into the "
            "rotation\n"
-           "  --analysis-mode <m>                 cached|recompute|"
-           "stale-check\n"
+           "  --analysis-mode <m>                 cached|stale-check\n"
            "                                      (default "
            "$EPICLAB_ANALYSIS_MODE\n"
            "                                      or cached)\n"
@@ -515,7 +514,7 @@ main(int argc, char **argv)
             std::string m = value_of(i, a);
             if (!parseAnalysisMode(m, &analysis_mode))
                 epic_fatal("--analysis-mode: unknown mode '", m,
-                           "' (cached|recompute|stale-check)");
+                           "' (cached|stale-check)");
         } else {
             epic_fatal("unknown option '", a, "' (see --help)");
         }

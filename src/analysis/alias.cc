@@ -119,15 +119,4 @@ AliasAnalysis::callMayTouch(const Instruction &call,
     return mr.syms.count(mem.sym_hint) != 0;
 }
 
-bool
-AliasAnalysis::callHasMemEffects(const Instruction &call) const
-{
-    if (level_ != AliasLevel::Inter)
-        return true;
-    if (call.op == Opcode::BR_ICALL || call.callee < 0)
-        return true;
-    const ModRef &mr = modref_[call.callee];
-    return mr.touches_all || !mr.syms.empty();
-}
-
 } // namespace epic

@@ -54,9 +54,6 @@ class AliasAnalysis
     bool callMayTouch(const Instruction &call,
                       const Instruction &mem) const;
 
-    /** May a call have any memory side effect at all? */
-    bool callHasMemEffects(const Instruction &call) const;
-
   private:
     struct ModRef
     {

@@ -57,15 +57,6 @@ DomTree::DomTree(const Cfg &cfg, Arena *arena)
     idom_[entry] = -1;
 }
 
-DomTree::DomTree(const DomTree &o)
-    : own_(std::make_unique<Arena>(size_t{4} << 10)), n_(o.n_)
-{
-    idom_ = own_->allocArray<int32_t>(n_);
-    rpo_index_ = own_->allocArray<int32_t>(n_);
-    std::copy(o.idom_, o.idom_ + n_, idom_);
-    std::copy(o.rpo_index_, o.rpo_index_ + n_, rpo_index_);
-}
-
 bool
 DomTree::dominates(int a, int b) const
 {

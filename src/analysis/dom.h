@@ -27,17 +27,9 @@ class DomTree
     /** Manager construction: arrays live in `arena` (null: private). */
     DomTree(const Cfg &cfg, Arena *arena);
 
-    /** Deep copy into a fresh private arena (snapshot semantics). */
-    DomTree(const DomTree &o);
-    DomTree &
-    operator=(const DomTree &o)
-    {
-        if (this != &o) {
-            DomTree tmp(o);
-            *this = std::move(tmp);
-        }
-        return *this;
-    }
+    /// Not copyable: a member-wise copy would share the arena arrays.
+    DomTree(const DomTree &) = delete;
+    DomTree &operator=(const DomTree &) = delete;
     DomTree(DomTree &&) noexcept = default;
     DomTree &operator=(DomTree &&) noexcept = default;
 

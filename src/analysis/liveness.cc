@@ -9,8 +9,7 @@ namespace {
 bool
 isParallelMergeCmp(const Instruction &inst)
 {
-    return (inst.op == Opcode::CMP || inst.op == Opcode::CMPI ||
-            inst.op == Opcode::FCMP) &&
+    return (inst.op == Opcode::CMP || inst.op == Opcode::CMPI) &&
            (inst.ctype == CmpType::And || inst.ctype == CmpType::Or);
 }
 

@@ -19,24 +19,11 @@ analysisKindName(AnalysisKind k)
     return "?";
 }
 
-const char *
-analysisModeName(AnalysisMode m)
-{
-    switch (m) {
-      case AnalysisMode::Cached: return "cached";
-      case AnalysisMode::ForceRecompute: return "recompute";
-      case AnalysisMode::StaleCheck: return "stale-check";
-    }
-    return "?";
-}
-
 bool
 parseAnalysisMode(const std::string &s, AnalysisMode *out)
 {
     if (s == "cached") {
         *out = AnalysisMode::Cached;
-    } else if (s == "recompute" || s == "force-recompute") {
-        *out = AnalysisMode::ForceRecompute;
     } else if (s == "stale-check" || s == "stalecheck") {
         *out = AnalysisMode::StaleCheck;
     } else {
@@ -55,7 +42,7 @@ envAnalysisMode()
         AnalysisMode m;
         if (!parseAnalysisMode(e, &m)) {
             epic_fatal("EPICLAB_ANALYSIS_MODE: unknown mode '", e,
-                       "' (cached|recompute|stale-check)");
+                       "' (cached|stale-check)");
         }
         return m;
     }();
@@ -220,8 +207,7 @@ AnalysisManager::maybeRollbackArena()
 {
     // Cfg and DomTree are the arena-resident analyses today; once both
     // are gone nothing points into the arena and a single watermark
-    // rollback reclaims every table (and all abandoned garbage from
-    // in-place refreshes) for the next compute cycle.
+    // rollback reclaims every table for the next compute cycle.
     if (!cfg_ && !dom_ && arena_.liveBytes() > base_.live)
         arena_.rollbackTo(base_);
 }
@@ -256,13 +242,7 @@ AnalysisManager::cfg()
         return *cfg_;
     }
     ++counters_.hits[idx];
-    if (mode_ == AnalysisMode::ForceRecompute) {
-        // Assign in place: outstanding references (and the cached
-        // Liveness's internal Cfg pointer) stay valid and see the
-        // freshly recomputed value. The old tables become arena garbage
-        // until the next full-drop rollback.
-        *cfg_ = Cfg(*f_, &arena_);
-    } else if (mode_ == AnalysisMode::StaleCheck) {
+    if (mode_ == AnalysisMode::StaleCheck) {
         Cfg fresh(*f_);
         if (!sameCfg(*cfg_, fresh))
             stalePanic(AnalysisKind::Cfg);
@@ -281,12 +261,7 @@ AnalysisManager::domTree()
         return *dom_;
     }
     ++counters_.hits[idx];
-    if (mode_ == AnalysisMode::ForceRecompute) {
-        // Scratch Cfg, uncounted: hit-path recomputes must not perturb
-        // the counters relative to Cached mode.
-        Cfg scratch(*f_);
-        *dom_ = DomTree(scratch, &arena_);
-    } else if (mode_ == AnalysisMode::StaleCheck) {
+    if (mode_ == AnalysisMode::StaleCheck) {
         Cfg scratch(*f_);
         DomTree fresh(scratch);
         if (!sameDom(*dom_, fresh, scratch.maxBlockId()))
@@ -308,12 +283,7 @@ AnalysisManager::liveness()
     ++counters_.hits[idx];
     // Invariant (by cascade): Liveness cached implies Cfg cached.
     epic_assert(cfg_, "cached Liveness without cached Cfg in ", f_->name);
-    if (mode_ == AnalysisMode::ForceRecompute) {
-        // Refresh the dependency in place first so the recomputed
-        // Liveness points at (and reads) current-IR structure.
-        *cfg_ = Cfg(*f_, &arena_);
-        *live_ = Liveness(*cfg_);
-    } else if (mode_ == AnalysisMode::StaleCheck) {
+    if (mode_ == AnalysisMode::StaleCheck) {
         Cfg scratch(*f_);
         if (!sameCfg(*cfg_, scratch))
             stalePanic(AnalysisKind::Cfg); // the dependency itself
@@ -336,11 +306,7 @@ AnalysisManager::loopForest()
         return *loops_;
     }
     ++counters_.hits[idx];
-    if (mode_ == AnalysisMode::ForceRecompute) {
-        Cfg scratch(*f_);
-        DomTree sdom(scratch);
-        *loops_ = LoopForest(scratch, sdom);
-    } else if (mode_ == AnalysisMode::StaleCheck) {
+    if (mode_ == AnalysisMode::StaleCheck) {
         Cfg scratch(*f_);
         DomTree sdom(scratch);
         LoopForest fresh(scratch, sdom);
@@ -363,9 +329,7 @@ AnalysisManager::predRelations(int bid)
         return it->second;
     }
     ++counters_.hits[idx];
-    if (mode_ == AnalysisMode::ForceRecompute) {
-        it->second = PredRelations(*b);
-    } else if (mode_ == AnalysisMode::StaleCheck) {
+    if (mode_ == AnalysisMode::StaleCheck) {
         PredRelations fresh(*b);
         if (!(it->second == fresh))
             stalePanic(AnalysisKind::PredRel);

@@ -15,20 +15,16 @@
  *
  * The contract, in one line: a cached analysis is valid until the IR it
  * was computed from is mutated, and whoever mutates must invalidate.
- * Three execution modes police that contract:
+ * Two execution modes police that contract:
  *
  *  - Cached (default): queries return the cached object.
- *  - ForceRecompute: every hit-path query additionally recomputes the
- *    analysis from the current IR *in place* (object addresses are
- *    stable, so outstanding references stay valid and observe the fresh
- *    value). Counters are accounted exactly as in Cached mode, so run
- *    artifacts stay byte-comparable — if a run differs between Cached
- *    and ForceRecompute, a pass forgot to invalidate.
  *  - StaleCheck: every hit-path query recomputes fresh, structurally
- *    diffs it against the cache, and panics on divergence naming the
- *    offending pass — "forgot to invalidate" becomes a hard error
- *    instead of a silent miscompilation. Env-gated like the firewall's
- *    paranoid re-verify: EPICLAB_ANALYSIS_MODE=stale-check.
+ *    diffs it against the cache (every field), and panics on divergence
+ *    naming the offending pass — "forgot to invalidate" becomes a hard
+ *    error instead of a silent miscompilation. The fresh copy is
+ *    scratch and uncounted, so counters and run artifacts match Cached
+ *    mode. Env-gated like the firewall's paranoid re-verify:
+ *    EPICLAB_ANALYSIS_MODE=stale-check.
  *
  * Invalidation cascades along dependence: dropping Cfg drops DomTree,
  * Liveness and LoopForest too (Liveness additionally *cannot* outlive
@@ -80,7 +76,7 @@ inline constexpr AnalysisSet kPreserveNone = 0;
 /// Sound for passes that are internally invalidation-correct: every
 /// mid-pass mutation went through the manager, so whatever is still
 /// cached at pass exit matches the final IR by construction. The
-/// stale-check mode and the cached-vs-recompute artifact parity test
+/// stale-check mode and the cached-vs-stale-check artifact parity test
 /// police the claim.
 inline constexpr AnalysisSet kPreserveAll =
     (1u << kNumAnalysisKinds) - 1;
@@ -102,14 +98,10 @@ inline constexpr AnalysisSet kPreserveGraphShape =
 /** Execution mode (see file comment). */
 enum class AnalysisMode {
     Cached,
-    ForceRecompute,
     StaleCheck,
 };
 
-/** Stable mode name (flags, diagnostics). */
-const char *analysisModeName(AnalysisMode m);
-
-/** Parse "cached" / "recompute" / "stale-check"; false on garbage. */
+/** Parse "cached" / "stale-check"; false on garbage. */
 bool parseAnalysisMode(const std::string &s, AnalysisMode *out);
 
 /**
@@ -218,9 +210,8 @@ class AnalysisManager
      * `base_` in one watermark operation, so repeated
      * invalidate/recompute cycles within a compilation attempt reuse
      * the same chunks instead of re-mallocing table storage
-     * (DESIGN.md §16). Scratch recomputes in ForceRecompute /
-     * StaleCheck modes deliberately use private arenas and never touch
-     * this one.
+     * (DESIGN.md §16). Scratch recomputes in StaleCheck mode
+     * deliberately use private arenas and never touch this one.
      */
     Arena arena_;
     Arena::Mark base_;

@@ -30,8 +30,7 @@ PredRelations::PredRelations(const BasicBlock &b)
     for (int i = 0; i < static_cast<int>(b.instrs.size()); ++i) {
         const Instruction &inst = b.instrs[i];
         bool makes_pair = false;
-        if ((inst.op == Opcode::CMP || inst.op == Opcode::CMPI ||
-             inst.op == Opcode::FCMP) &&
+        if ((inst.op == Opcode::CMP || inst.op == Opcode::CMPI) &&
             inst.dests.size() == 2 &&
             (inst.ctype == CmpType::Norm || inst.ctype == CmpType::Unc)) {
             // Norm requires an always-true guard; Unc is safe regardless.

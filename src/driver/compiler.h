@@ -68,7 +68,7 @@ struct CompileOptions
     /// produces bit-identical output to jobs = 1.
     int jobs = 1;
 
-    /// Analysis-cache policy (Cached / ForceRecompute / StaleCheck).
+    /// Analysis-cache policy (Cached / StaleCheck).
     /// Defaults to EPICLAB_ANALYSIS_MODE; --analysis-mode overrides.
     AnalysisMode analysis_mode = envAnalysisMode();
 

@@ -185,13 +185,6 @@ appendPredicated(Function &f, ArenaVec<Instruction> &out,
 } // namespace
 
 HyperblockStats
-formHyperblocks(Function &f, const HyperblockOptions &opts)
-{
-    AnalysisManager am(f);
-    return formHyperblocks(f, am, opts);
-}
-
-HyperblockStats
 formHyperblocks(Function &f, AnalysisManager &am,
                 const HyperblockOptions &opts)
 {
@@ -324,16 +317,6 @@ formHyperblocks(Function &f, AnalysisManager &am,
             pruneUnreachableBlocks(f, am);
     }
     return stats;
-}
-
-HyperblockStats
-formHyperblocksProgram(Program &prog, const HyperblockOptions &opts)
-{
-    HyperblockStats total;
-    for (auto &fp : prog.funcs)
-        if (fp && !(fp->attr & kFuncLibrary))
-            total += formHyperblocks(*fp, opts);
-    return total;
 }
 
 } // namespace epic

@@ -50,20 +50,13 @@ struct HyperblockStats
     }
 };
 
-/** If-convert one function to a fixpoint. */
-HyperblockStats formHyperblocks(Function &f,
-                                const HyperblockOptions &opts = {});
-
 /**
- * Same, with CFG/loop-forest queries served by the manager: the final
- * (fixpoint-confirming) round and a clean prune run entirely from cache.
+ * If-convert one function to a fixpoint, with CFG/loop-forest queries
+ * served by the manager: the final (fixpoint-confirming) round and a
+ * clean prune run entirely from cache.
  */
 HyperblockStats formHyperblocks(Function &f, AnalysisManager &am,
                                 const HyperblockOptions &opts = {});
-
-/** If-convert every non-library function. */
-HyperblockStats formHyperblocksProgram(Program &prog,
-                                       const HyperblockOptions &opts = {});
 
 } // namespace epic
 

@@ -167,14 +167,4 @@ peelLoops(Function &f, const PeelOptions &opts)
     return stats;
 }
 
-PeelStats
-peelLoopsProgram(Program &prog, const PeelOptions &opts)
-{
-    PeelStats total;
-    for (auto &fp : prog.funcs)
-        if (fp && !(fp->attr & kFuncLibrary))
-            total += peelLoops(*fp, opts);
-    return total;
-}
-
 } // namespace epic

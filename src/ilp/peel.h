@@ -60,9 +60,6 @@ struct PeelStats
 /** Peel and unroll eligible single-block loops in one function. */
 PeelStats peelLoops(Function &f, const PeelOptions &opts = {});
 
-/** Whole program (skips library functions). */
-PeelStats peelLoopsProgram(Program &prog, const PeelOptions &opts = {});
-
 } // namespace epic
 
 #endif // EPIC_ILP_PEEL_H

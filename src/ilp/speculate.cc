@@ -16,10 +16,8 @@ speculatable(const Instruction &inst)
 {
     if (inst.info().has_side_effect || inst.isBranch())
         return false;
-    if (inst.op == Opcode::DIV || inst.op == Opcode::REM ||
-        inst.op == Opcode::FDIV) {
+    if (inst.op == Opcode::DIV || inst.op == Opcode::REM)
         return false; // potentially-excepting, never speculated
-    }
     if (inst.dests.empty())
         return false;
     return true;
@@ -67,13 +65,6 @@ dataDepsAllowHoist(const Function &f, const BasicBlock &b, int from,
 }
 
 } // namespace
-
-SpecStats
-speculateFunction(Function &f, const SpecOptions &opts)
-{
-    AnalysisManager am(f);
-    return speculateFunction(f, am, opts);
-}
 
 SpecStats
 speculateFunction(Function &f, AnalysisManager &am, const SpecOptions &opts)
@@ -225,16 +216,6 @@ speculateFunction(Function &f, AnalysisManager &am, const SpecOptions &opts)
         }
     }
     return stats;
-}
-
-SpecStats
-speculateProgram(Program &prog, const SpecOptions &opts)
-{
-    SpecStats total;
-    for (auto &fp : prog.funcs)
-        if (fp && !(fp->attr & kFuncLibrary))
-            total += speculateFunction(*fp, opts);
-    return total;
 }
 
 } // namespace epic

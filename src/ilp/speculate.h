@@ -62,19 +62,14 @@ struct SpecStats
     }
 };
 
-/** Apply control speculation to one function. */
-SpecStats speculateFunction(Function &f, const SpecOptions &opts = {});
-
 /**
- * Same, reading CFG/liveness through the manager. The pass works from
- * an entry snapshot by design (it never re-queries after mutating) and
- * preserves the block graph, so it declares kPreserveBlockGraph.
+ * Apply control speculation to one function, reading CFG/liveness
+ * through the manager. The pass works from an entry snapshot by design
+ * (it never re-queries after mutating) and preserves the block graph,
+ * so it declares kPreserveBlockGraph.
  */
 SpecStats speculateFunction(Function &f, AnalysisManager &am,
                             const SpecOptions &opts = {});
-
-/** Apply to every non-library function. */
-SpecStats speculateProgram(Program &prog, const SpecOptions &opts = {});
 
 /**
  * Apply data speculation to one function (ilp/dataspec.cc): plain

@@ -169,13 +169,6 @@ tailDuplicate(Function &f, const Cfg &cfg, std::vector<int> &trace,
 } // namespace
 
 SuperblockStats
-formSuperblocks(Function &f, const SuperblockOptions &opts)
-{
-    AnalysisManager am(f);
-    return formSuperblocks(f, am, opts);
-}
-
-SuperblockStats
 formSuperblocks(Function &f, AnalysisManager &am,
                 const SuperblockOptions &opts)
 {
@@ -360,16 +353,6 @@ formSuperblocks(Function &f, AnalysisManager &am,
         pruneUnreachableBlocks(f, am);
     }
     return stats;
-}
-
-SuperblockStats
-formSuperblocksProgram(Program &prog, const SuperblockOptions &opts)
-{
-    SuperblockStats total;
-    for (auto &fp : prog.funcs)
-        if (fp && !(fp->attr & kFuncLibrary))
-            total += formSuperblocks(*fp, opts);
-    return total;
 }
 
 } // namespace epic

@@ -53,21 +53,14 @@ struct SuperblockStats
     }
 };
 
-/** Form superblocks in one function. */
-SuperblockStats formSuperblocks(Function &f,
-                                const SuperblockOptions &opts = {});
-
 /**
- * Same, with CFG/loop queries served by the manager: rounds that end
- * with an empty prune hand the next round a warm cache, and the
- * side-entrance scan reuses the cached CFG between tail duplications.
+ * Form superblocks in one function, with CFG/loop queries served by the
+ * manager: rounds that end with an empty prune hand the next round a
+ * warm cache, and the side-entrance scan reuses the cached CFG between
+ * tail duplications.
  */
 SuperblockStats formSuperblocks(Function &f, AnalysisManager &am,
                                 const SuperblockOptions &opts = {});
-
-/** Form superblocks in every function with profile data. */
-SuperblockStats formSuperblocksProgram(Program &prog,
-                                       const SuperblockOptions &opts = {});
 
 } // namespace epic
 

@@ -16,13 +16,6 @@ IRBuilder::beginFunction(const std::string &name, int nparams, uint32_t attr)
     return fn_;
 }
 
-void
-IRBuilder::setFunction(Function *f)
-{
-    fn_ = f;
-    bb_ = nullptr;
-}
-
 BasicBlock *
 IRBuilder::newBlock()
 {
@@ -248,12 +241,6 @@ IRBuilder::shri(Reg a, int64_t sh, Reg guard)
 }
 
 Reg
-IRBuilder::sari(Reg a, int64_t sh, Reg guard)
-{
-    return binopImm(*this, Opcode::SARI, a, sh, guard, gr());
-}
-
-Reg
 IRBuilder::shl(Reg a, Reg b, Reg guard)
 {
     return binop(*this, Opcode::SHL, a, b, guard, gr());
@@ -316,90 +303,6 @@ IRBuilder::st(Reg addr, Reg val, int size, MemHint hint, Reg guard)
     inst.size = static_cast<uint8_t>(size);
     inst.sym_hint = hint.sym;
     inst.alias_group = hint.group;
-}
-
-Reg
-IRBuilder::ldf(Reg addr, MemHint hint, Reg guard)
-{
-    Reg d = fr();
-    Instruction &inst = push(Opcode::LDF, guard);
-    inst.dests = {d};
-    inst.srcs = {Operand::makeReg(addr)};
-    inst.sym_hint = hint.sym;
-    inst.alias_group = hint.group;
-    return d;
-}
-
-void
-IRBuilder::stf(Reg addr, Reg val, MemHint hint, Reg guard)
-{
-    Instruction &inst = push(Opcode::STF, guard);
-    inst.srcs = {Operand::makeReg(addr), Operand::makeReg(val)};
-    inst.sym_hint = hint.sym;
-    inst.alias_group = hint.group;
-}
-
-Reg
-IRBuilder::fmovi(double v, Reg guard)
-{
-    Reg d = fr();
-    Instruction &inst = push(Opcode::CVTIF, guard);
-    // Materialize an FP constant as cvt of an integer immediate when the
-    // value is integral; otherwise route through an FImm operand on FADD.
-    inst.op = Opcode::FADD;
-    inst.dests = {d};
-    inst.srcs = {Operand::makeFImm(v), Operand::makeFImm(0.0)};
-    return d;
-}
-
-Reg
-IRBuilder::fadd(Reg a, Reg b, Reg guard)
-{
-    Reg d = fr();
-    Instruction &inst = push(Opcode::FADD, guard);
-    inst.dests = {d};
-    inst.srcs = {Operand::makeReg(a), Operand::makeReg(b)};
-    return d;
-}
-
-Reg
-IRBuilder::fsub(Reg a, Reg b, Reg guard)
-{
-    Reg d = fr();
-    Instruction &inst = push(Opcode::FSUB, guard);
-    inst.dests = {d};
-    inst.srcs = {Operand::makeReg(a), Operand::makeReg(b)};
-    return d;
-}
-
-Reg
-IRBuilder::fmul(Reg a, Reg b, Reg guard)
-{
-    Reg d = fr();
-    Instruction &inst = push(Opcode::FMUL, guard);
-    inst.dests = {d};
-    inst.srcs = {Operand::makeReg(a), Operand::makeReg(b)};
-    return d;
-}
-
-Reg
-IRBuilder::cvtif(Reg a, Reg guard)
-{
-    Reg d = fr();
-    Instruction &inst = push(Opcode::CVTIF, guard);
-    inst.dests = {d};
-    inst.srcs = {Operand::makeReg(a)};
-    return d;
-}
-
-Reg
-IRBuilder::cvtfi(Reg a, Reg guard)
-{
-    Reg d = gr();
-    Instruction &inst = push(Opcode::CVTFI, guard);
-    inst.dests = {d};
-    inst.srcs = {Operand::makeReg(a)};
-    return d;
 }
 
 void

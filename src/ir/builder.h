@@ -40,8 +40,6 @@ class IRBuilder
     Function *beginFunction(const std::string &name, int nparams,
                             uint32_t attr = kFuncNone);
 
-    /** Switch to an existing function (insertion block must be set). */
-    void setFunction(Function *f);
     /** Set the insertion block. */
     void setBlock(BasicBlock *b) { bb_ = b; }
 
@@ -57,7 +55,6 @@ class IRBuilder
 
     // ---- Register creation ----
     Reg gr() { return fn_->makeReg(RegClass::Gr); }
-    Reg fr() { return fn_->makeReg(RegClass::Fr); }
     Reg pr() { return fn_->makeReg(RegClass::Pr); }
 
     // ---- Data movement ----
@@ -87,7 +84,6 @@ class IRBuilder
     Reg xori(Reg a, int64_t imm, Reg guard = kPrTrue);
     Reg shli(Reg a, int64_t sh, Reg guard = kPrTrue);
     Reg shri(Reg a, int64_t sh, Reg guard = kPrTrue);
-    Reg sari(Reg a, int64_t sh, Reg guard = kPrTrue);
     Reg shl(Reg a, Reg b, Reg guard = kPrTrue);
     Reg shr(Reg a, Reg b, Reg guard = kPrTrue);
 
@@ -105,16 +101,6 @@ class IRBuilder
               Reg guard = kPrTrue);
     void st(Reg addr, Reg val, int size = 8, MemHint hint = {},
             Reg guard = kPrTrue);
-    Reg ldf(Reg addr, MemHint hint = {}, Reg guard = kPrTrue);
-    void stf(Reg addr, Reg val, MemHint hint = {}, Reg guard = kPrTrue);
-
-    // ---- Floating point ----
-    Reg fmovi(double v, Reg guard = kPrTrue);
-    Reg fadd(Reg a, Reg b, Reg guard = kPrTrue);
-    Reg fsub(Reg a, Reg b, Reg guard = kPrTrue);
-    Reg fmul(Reg a, Reg b, Reg guard = kPrTrue);
-    Reg cvtif(Reg a, Reg guard = kPrTrue);
-    Reg cvtfi(Reg a, Reg guard = kPrTrue);
 
     // ---- Control flow ----
     /** Conditional branch: taken when `pred` is true. */

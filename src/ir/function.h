@@ -135,9 +135,6 @@ class Function
     /** Total static instruction count over live blocks. */
     int staticInstrCount() const;
 
-    /** Total static bundle count over live blocks (post-scheduling). */
-    int staticBundleCount() const;
-
     /** Remove a block (slot becomes null; ids of others are stable). */
     void
     eraseBlock(BlockId bid)
@@ -166,7 +163,7 @@ class Function
 
   private:
     /// Next virtual register id per register class.
-    std::array<int32_t, 4> next_virt_;
+    std::array<int32_t, kNumRegClasses> next_virt_;
 };
 
 } // namespace epic

@@ -28,12 +28,11 @@ namespace epic {
 /** Operand: a register, an immediate, or a symbol/function reference. */
 struct Operand
 {
-    enum class Kind : uint8_t { None, Reg, Imm, FImm, Sym, Func };
+    enum class Kind : uint8_t { None, Reg, Imm, Sym, Func };
 
     Kind kind = Kind::None;
     Reg reg;
     int64_t imm = 0;    ///< integer immediate / symbol offset
-    double fimm = 0.0;
     int32_t sym = -1;   ///< data symbol id (Kind::Sym)
     int32_t func = -1;  ///< function id (Kind::Func)
 
@@ -52,14 +51,6 @@ struct Operand
         Operand o;
         o.kind = Kind::Imm;
         o.imm = v;
-        return o;
-    }
-    static Operand
-    makeFImm(double v)
-    {
-        Operand o;
-        o.kind = Kind::FImm;
-        o.fimm = v;
         return o;
     }
     static Operand
@@ -132,7 +123,7 @@ class Instruction
     InlineVec<Reg, kMaxDests> dests;
     InlineVec<Operand, kMaxSrcs> srcs;
 
-    CmpCond cond = CmpCond::EQ;  ///< CMP/CMPI/FCMP only
+    CmpCond cond = CmpCond::EQ;  ///< CMP/CMPI only
     CmpType ctype = CmpType::Norm;
     uint8_t size = 8;    ///< LD/ST/SXT/ZXT access size; NOP unit class
     bool spec = false;   ///< control-speculative (ld.s / moved code)

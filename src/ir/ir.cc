@@ -29,9 +29,6 @@ Operand::str() const
       case Kind::Imm:
         os << imm;
         break;
-      case Kind::FImm:
-        os << fimm;
-        break;
       case Kind::Sym:
         os << "@sym" << sym;
         if (imm)
@@ -51,7 +48,7 @@ Instruction::str() const
     if (hasGuard())
         os << "(" << guard.str() << ") ";
     os << info().name;
-    if (op == Opcode::CMP || op == Opcode::CMPI || op == Opcode::FCMP) {
+    if (op == Opcode::CMP || op == Opcode::CMPI) {
         os << "." << cmpCondName(cond);
         if (ctype != CmpType::Norm)
             os << "." << cmpTypeName(ctype);
@@ -128,16 +125,6 @@ Function::staticInstrCount() const
     for (const auto &b : blocks)
         if (b)
             n += static_cast<int>(b->instrs.size());
-    return n;
-}
-
-int
-Function::staticBundleCount() const
-{
-    int n = 0;
-    for (const auto &b : blocks)
-        if (b)
-            n += static_cast<int>(b->bundles.size());
     return n;
 }
 

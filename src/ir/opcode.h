@@ -6,8 +6,9 @@
  * sized loads/stores with an optional control-speculative form, parallel
  * compares writing predicate pairs, fully-predicated branches, a
  * speculation check (chk.s), and a register-stack alloc. Functional-unit
- * classes and latencies follow the Itanium 2 dispersal and bypass model
- * (notably: integer multiply executes on the FP unit, as xma does).
+ * classes and latencies follow the Itanium 2 dispersal and bypass model.
+ * The ISA is integer-only, like the SPECint programs it stands in for:
+ * the F unit executes integer multiply and divide, as xma does.
  */
 #ifndef EPIC_IR_OPCODE_H
 #define EPIC_IR_OPCODE_H
@@ -38,13 +39,6 @@ enum class Opcode : uint8_t {
     // Memory (M-unit); access size in Instruction::size
     LD,     ///< gr = [gr]; speculative form when Instruction::spec
     ST,     ///< [gr] = gr
-    LDF,    ///< fr = [gr] (8 bytes)
-    STF,    ///< [gr] = fr
-    // Floating point (F-unit)
-    FADD, FSUB, FMUL, FDIV, FMA, FNEG,
-    FCMP,   ///< pr1, pr2 = cond(fr, fr)
-    CVTFI,  ///< gr = (int64)fr
-    CVTIF,  ///< fr = (double)gr
     // Control (B-unit); all fully predicated by the guard
     BR,      ///< branch to label when guard true
     BR_CALL, ///< direct call; srcs = args, dest0 = return value (optional)
@@ -62,7 +56,7 @@ enum class Opcode : uint8_t {
     NumOpcodes,
 };
 
-/** Comparison conditions for CMP/CMPI/FCMP. */
+/** Comparison conditions for CMP/CMPI. */
 enum class CmpCond : uint8_t { EQ, NE, LT, LE, GT, GE, LTU, GEU };
 
 /**
@@ -78,7 +72,7 @@ enum class FuClass : uint8_t {
     A, ///< either an M or an I slot
     I, ///< integer unit only
     M, ///< memory unit only
-    F, ///< floating-point unit only
+    F, ///< floating-point unit only (integer multiply/divide here)
     B, ///< branch unit only
 };
 
@@ -99,9 +93,8 @@ struct OpcodeInfo
 namespace detail {
 
 // Latencies follow the Itanium 2 bypass network: ALU 1 cycle, integer
-// load 1 cycle on an L1D hit, FP arithmetic 4 cycles, integer multiply 6
-// (xma via the FP unit), divide ~24 (frcpa Newton-Raphson sequence),
-// FP loads 6 (they bypass L1D and are served from L2).
+// load 1 cycle on an L1D hit, integer multiply 6 (xma via the FP unit),
+// divide ~24 (frcpa Newton-Raphson sequence).
 inline constexpr OpcodeInfo kOpcodeTable[] = {
     //                      name     fu          lat  ld     st     br     call   ret    side
     /* MOV      */ {"mov",      FuClass::A, 1, false, false, false, false, false, false},
@@ -134,17 +127,6 @@ inline constexpr OpcodeInfo kOpcodeTable[] = {
     /* REM      */ {"rem",      FuClass::F, 24, false, false, false, false, false, false},
     /* LD       */ {"ld",       FuClass::M, 1, true,  false, false, false, false, false},
     /* ST       */ {"st",       FuClass::M, 1, false, true,  false, false, false, true},
-    /* LDF      */ {"ldf",      FuClass::M, 6, true,  false, false, false, false, false},
-    /* STF      */ {"stf",      FuClass::M, 1, false, true,  false, false, false, true},
-    /* FADD     */ {"fadd",     FuClass::F, 4, false, false, false, false, false, false},
-    /* FSUB     */ {"fsub",     FuClass::F, 4, false, false, false, false, false, false},
-    /* FMUL     */ {"fmul",     FuClass::F, 4, false, false, false, false, false, false},
-    /* FDIV     */ {"fdiv",     FuClass::F, 24, false, false, false, false, false, false},
-    /* FMA      */ {"fma",      FuClass::F, 4, false, false, false, false, false, false},
-    /* FNEG     */ {"fneg",     FuClass::F, 4, false, false, false, false, false, false},
-    /* FCMP     */ {"fcmp",     FuClass::F, 2, false, false, false, false, false, false},
-    /* CVTFI    */ {"cvtfi",    FuClass::F, 4, false, false, false, false, false, false},
-    /* CVTIF    */ {"cvtif",    FuClass::F, 4, false, false, false, false, false, false},
     /* BR       */ {"br",       FuClass::B, 1, false, false, true,  false, false, true},
     /* BR_CALL  */ {"br.call",  FuClass::B, 1, false, false, true,  true,  false, true},
     /* BR_ICALL */ {"br.icall", FuClass::B, 1, false, false, true,  true,  false, true},

@@ -7,7 +7,6 @@ regClassName(RegClass cls)
 {
     switch (cls) {
       case RegClass::Gr: return "gr";
-      case RegClass::Fr: return "fr";
       case RegClass::Pr: return "pr";
       case RegClass::Br: return "br";
     }
@@ -27,7 +26,6 @@ physRegCount(RegClass cls)
 {
     switch (cls) {
       case RegClass::Gr: return 128;
-      case RegClass::Fr: return 128;
       case RegClass::Pr: return 64;
       case RegClass::Br: return 8;
     }

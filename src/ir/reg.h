@@ -2,9 +2,10 @@
  * @file
  * Register model for the EPIC IR.
  *
- * Four architectural register classes mirror IA-64: general (Gr, 64-bit
- * integer with a NaT bit), floating-point (Fr), predicate (Pr, 1-bit) and
- * branch (Br). A small set of low-numbered registers have architected
+ * Three architectural register classes mirror IA-64's integer side:
+ * general (Gr, 64-bit integer with a NaT bit), predicate (Pr, 1-bit) and
+ * branch (Br). The ISA has no floating-point ops, so there is no FR
+ * file. A small set of low-numbered registers have architected
  * meanings; virtual registers used before allocation are numbered from
  * kFirstVirtual upward so they can never collide with architected names.
  */
@@ -20,12 +21,14 @@ namespace epic {
 /** Architectural register classes. */
 enum class RegClass : uint8_t {
     Gr, ///< general 64-bit integer registers (with NaT bit)
-    Fr, ///< floating-point registers
     Pr, ///< 1-bit predicate registers
     Br, ///< branch registers
 };
 
-/** Printable name of a register class ("gr", "fr", "pr", "br"). */
+/// Number of register classes (RegClass values are 0..kNumRegClasses-1).
+inline constexpr int kNumRegClasses = 3;
+
+/** Printable name of a register class ("gr", "pr", "br"). */
 const char *regClassName(RegClass cls);
 
 /** A register reference: class + number. */
@@ -59,8 +62,7 @@ inline constexpr Reg kPrTrue{RegClass::Pr, 0};
 /// Stack pointer by convention.
 inline constexpr Reg kGrSp{RegClass::Gr, 12};
 
-/// Number of physical registers per class (IA-64: 128 GR, 128 FR, 64 PR,
-/// 8 BR).
+/// Number of physical registers per class (IA-64: 128 GR, 64 PR, 8 BR).
 int physRegCount(RegClass cls);
 
 /// First id handed out for virtual registers (above all architected names).

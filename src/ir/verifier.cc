@@ -116,9 +116,6 @@ struct Checker
             expect_dests(2, RegClass::Pr);
             src_reg(0, RegClass::Gr);
             break;
-          case Opcode::FCMP:
-            expect_dests(2, RegClass::Pr);
-            break;
           case Opcode::LD:
           case Opcode::LD_A:
           case Opcode::CHK_A:
@@ -128,22 +125,6 @@ struct Checker
           case Opcode::ST:
             src_reg(0, RegClass::Gr);
             src_reg(1, RegClass::Gr);
-            break;
-          case Opcode::LDF:
-            expect_dests(1, RegClass::Fr);
-            src_reg(0, RegClass::Gr);
-            break;
-          case Opcode::STF:
-            src_reg(0, RegClass::Gr);
-            src_reg(1, RegClass::Fr);
-            break;
-          case Opcode::CVTFI:
-            expect_dests(1, RegClass::Gr);
-            src_reg(0, RegClass::Fr);
-            break;
-          case Opcode::CVTIF:
-            expect_dests(1, RegClass::Fr);
-            src_reg(0, RegClass::Gr);
             break;
           case Opcode::BR:
             if (!validTarget(inst.target))
@@ -318,8 +299,7 @@ struct Checker
                         }
                         written[d] = s;
                         if (inst.op == Opcode::CMP ||
-                            inst.op == Opcode::CMPI ||
-                            inst.op == Opcode::FCMP) {
+                            inst.op == Opcode::CMPI) {
                             cmp_dests.push_back(d);
                         }
                     }

@@ -42,7 +42,10 @@ class Env
     set(Reg r, LatVal v)
     {
         invalidate(r);
-        map_[r] = v;
+        // r0 and p0 are hardwired: a write to either is discarded, so
+        // it leaves no value behind to propagate.
+        if (r != kGrZero && r != kPrTrue)
+            map_[r] = v;
     }
 
     /** A register was (re)defined with an unknown value. */
@@ -67,8 +70,7 @@ class Env
 bool
 isCmp(const Instruction &inst)
 {
-    return inst.op == Opcode::CMP || inst.op == Opcode::CMPI ||
-           inst.op == Opcode::FCMP;
+    return inst.op == Opcode::CMP || inst.op == Opcode::CMPI;
 }
 
 std::optional<int64_t>
@@ -166,7 +168,6 @@ keyPart(const Operand &o)
                 static_cast<uint64_t>(o.imm)};
       case Operand::Kind::Func:
         return {o.kind, static_cast<uint32_t>(o.func)};
-      case Operand::Kind::FImm:
       case Operand::Kind::None:
         break;
     }
@@ -176,8 +177,7 @@ keyPart(const Operand &o)
 /**
  * Same CSE key: opcode, cond, access size and each source's KeyPart.
  * Opcode and cond names are unique, so this is equality of the printed
- * "name/cond,src...;size" key, given that no FImm source (printed with
- * 6 significant digits) reaches a candidate: only FADD carries one.
+ * "name/cond,src...;size" key.
  */
 bool
 sameExpr(const Instruction &a, const Instruction &b)
@@ -589,10 +589,6 @@ localCse(Function &f, const AliasAnalysis &aa)
                 cse_alu ? &avail : (cse_ld ? &loads : nullptr);
             uint64_t hash = 0;
             if (table) {
-                for (const Operand &o : inst.srcs)
-                    epic_assert(o.kind != Operand::Kind::FImm,
-                                "FP immediate in a CSE candidate: ",
-                                inst.str());
                 hash = exprHash(inst);
                 if (const Avail *hit = find(*table, inst, hash)) {
                     Instruction mv;
@@ -623,8 +619,9 @@ localCse(Function &f, const AliasAnalysis &aa)
 
             // 3. Record the new availability — unless the expression
             // reads its own destination (e.g. add x = x, 1), whose key
-            // now refers to a stale value.
-            if (table) {
+            // now refers to a stale value, or the destination is r0,
+            // which discards the write.
+            if (table && inst.dests[0] != kGrZero) {
                 bool self_ref = false;
                 for (const Reg &d : inst.dests)
                     self_ref = self_ref || readsPrefixOf(inst, d);
@@ -638,13 +635,6 @@ localCse(Function &f, const AliasAnalysis &aa)
         b.instrs = out;
     }
     return stats;
-}
-
-OptStats
-deadCodeElim(Function &f)
-{
-    AnalysisManager am(f);
-    return deadCodeElim(f, am);
 }
 
 OptStats
@@ -704,13 +694,6 @@ deadCodeElim(Function &f, AnalysisManager &am)
         am.invalidateAll();
     }
     return stats;
-}
-
-OptStats
-licm(Function &f, const AliasAnalysis &aa)
-{
-    AnalysisManager am(f, &aa);
-    return licm(f, am);
 }
 
 OptStats
@@ -857,14 +840,6 @@ peephole(Function &f)
 }
 
 OptStats
-classicalOptimizeFunction(Function &f, const AliasAnalysis &aa,
-                          int max_iters)
-{
-    AnalysisManager am(f, &aa);
-    return classicalOptimizeFunction(f, am, max_iters);
-}
-
-OptStats
 classicalOptimizeFunction(Function &f, AnalysisManager &am, int max_iters)
 {
     OptStats total;
@@ -898,17 +873,6 @@ classicalOptimizeFunction(Function &f, AnalysisManager &am, int max_iters)
         total += round;
         if (round.total() == 0)
             break;
-    }
-    return total;
-}
-
-OptStats
-classicalOptimize(Program &prog, const AliasAnalysis &aa, int max_iters)
-{
-    OptStats total;
-    for (auto &fp : prog.funcs) {
-        if (fp)
-            total += classicalOptimizeFunction(*fp, aa, max_iters);
     }
     return total;
 }

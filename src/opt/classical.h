@@ -74,14 +74,12 @@ OptStats localValueProp(Function &f, LocalPropEffect *effect = nullptr);
 /** Local CSE including redundant-load elimination. */
 OptStats localCse(Function &f, const AliasAnalysis &aa);
 
-/** Global DCE (liveness based; predication aware). */
-OptStats deadCodeElim(Function &f);
-/** Same, querying CFG/liveness through the manager. */
+/** Global DCE (liveness based; predication aware), querying
+ *  CFG/liveness through the manager. */
 OptStats deadCodeElim(Function &f, AnalysisManager &am);
 
-/** Loop-invariant code motion (creates preheaders as needed). */
-OptStats licm(Function &f, const AliasAnalysis &aa);
-/** Same, querying the loop forest (and alias info) via the manager. */
+/** Loop-invariant code motion (creates preheaders as needed), querying
+ *  the loop forest (and alias info) via the manager. */
 OptStats licm(Function &f, AnalysisManager &am);
 
 /** Strength reduction and algebraic simplification. */
@@ -89,20 +87,11 @@ OptStats peephole(Function &f);
 
 /**
  * Run the full classical pipeline to a (bounded) fixpoint on one
- * function (the unit the compilation firewall retries on fallback).
+ * function (the unit the compilation firewall retries on fallback),
+ * with analyses cached across rounds via the manager.
  */
-OptStats classicalOptimizeFunction(Function &f, const AliasAnalysis &aa,
-                                   int max_iters = 4);
-/** Same, with analyses cached across rounds via the manager. */
 OptStats classicalOptimizeFunction(Function &f, AnalysisManager &am,
                                    int max_iters = 4);
-
-/**
- * Run the full classical pipeline to a (bounded) fixpoint on every
- * function of the program.
- */
-OptStats classicalOptimize(Program &prog, const AliasAnalysis &aa,
-                           int max_iters = 4);
 
 } // namespace epic
 

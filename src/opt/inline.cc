@@ -31,7 +31,7 @@ makeMoveFromOperand(Reg dest, const Operand &src)
 /** Remap one register from callee space into caller space. */
 Reg
 remapReg(const Function &caller, Reg r,
-         const std::array<int32_t, 4> &offs)
+         const std::array<int32_t, kNumRegClasses> &offs)
 {
     if (!r.valid() || r.id < kFirstVirtual)
         return r;
@@ -67,8 +67,8 @@ inlineCallsite(Program &prog, Function &caller, int bid, int idx)
     }
 
     // Register-space offsets for the copied body.
-    std::array<int32_t, 4> offs;
-    for (int c = 0; c < 4; ++c) {
+    std::array<int32_t, kNumRegClasses> offs;
+    for (int c = 0; c < kNumRegClasses; ++c) {
         auto cls = static_cast<RegClass>(c);
         offs[c] = caller.virtLimit(cls);
         int needed = callee->virtLimit(cls) - kFirstVirtual;

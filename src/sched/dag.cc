@@ -27,8 +27,7 @@ effectiveGuard(const Instruction &inst)
 bool
 isCmpOp(const Instruction &inst)
 {
-    return inst.op == Opcode::CMP || inst.op == Opcode::CMPI ||
-           inst.op == Opcode::FCMP;
+    return inst.op == Opcode::CMP || inst.op == Opcode::CMPI;
 }
 
 } // namespace

@@ -345,31 +345,12 @@ packGroup(const BasicBlock &b, const std::vector<int> &ops, int max_bundles)
 }
 
 SchedStats
-scheduleFunction(Function &f, const AliasAnalysis &aa,
-                 const MachineConfig &mach)
-{
-    AnalysisManager am(f, &aa);
-    return scheduleFunction(f, am, mach);
-}
-
-SchedStats
 scheduleFunction(Function &f, AnalysisManager &am, const MachineConfig &mach)
 {
     SchedStats total;
     for (auto &bp : f.blocks)
         if (bp)
             total += scheduleBlock(f, *bp, am, mach);
-    return total;
-}
-
-SchedStats
-scheduleProgram(Program &prog, const AliasAnalysis &aa,
-                const MachineConfig &mach)
-{
-    SchedStats total;
-    for (auto &fp : prog.funcs)
-        if (fp)
-            total += scheduleFunction(*fp, aa, mach);
     return total;
 }
 

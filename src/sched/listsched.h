@@ -15,7 +15,6 @@
 #include <optional>
 #include <vector>
 
-#include "analysis/alias.h"
 #include "ir/program.h"
 #include "mach/machine.h"
 
@@ -70,21 +69,14 @@ std::optional<std::vector<Bundle>> packGroup(const BasicBlock &b,
                                              const std::vector<int> &ops,
                                              int max_bundles);
 
-/** Schedule every block of a function into bundles. */
-SchedStats scheduleFunction(Function &f, const AliasAnalysis &aa,
-                            const MachineConfig &mach);
-
 /**
- * Same, with per-block predicate relations (and alias info) served by
- * the manager. Scheduling only stamps sched_cycle and rebuilds bundles,
- * so it preserves every cached analysis.
+ * Schedule every block of a function into bundles, with per-block
+ * predicate relations (and alias info) served by the manager.
+ * Scheduling only stamps sched_cycle and rebuilds bundles, so it
+ * preserves every cached analysis.
  */
 SchedStats scheduleFunction(Function &f, AnalysisManager &am,
                             const MachineConfig &mach);
-
-/** Schedule the whole program. */
-SchedStats scheduleProgram(Program &prog, const AliasAnalysis &aa,
-                           const MachineConfig &mach);
 
 } // namespace epic
 

@@ -37,7 +37,6 @@ physPool(RegClass cls)
 {
     switch (cls) {
       case RegClass::Gr: return {32, 127};
-      case RegClass::Fr: return {32, 127};
       case RegClass::Pr: return {16, 63};
       case RegClass::Br: return {1, 7};
     }
@@ -45,13 +44,6 @@ physPool(RegClass cls)
 }
 
 } // namespace
-
-RegAllocStats
-allocateRegisters(Function &f)
-{
-    AnalysisManager am(f);
-    return allocateRegisters(f, am);
-}
 
 RegAllocStats
 allocateRegisters(Function &f, AnalysisManager &am)
@@ -139,8 +131,7 @@ allocateRegisters(Function &f, AnalysisManager &am)
     std::map<Reg, int> spill_slots;  // vreg -> frame slot
     int next_slot = 0;
 
-    for (RegClass cls :
-         {RegClass::Gr, RegClass::Fr, RegClass::Pr, RegClass::Br}) {
+    for (RegClass cls : {RegClass::Gr, RegClass::Pr, RegClass::Br}) {
         std::vector<Interval *> ivs;
         for (auto &[r, iv] : intervals)
             if (r.cls == cls)
@@ -226,8 +217,6 @@ allocateRegisters(Function &f, AnalysisManager &am)
 
         if (cls == RegClass::Gr)
             stats.gr_used = max_used;
-        else if (cls == RegClass::Fr)
-            stats.fr_used = max_used;
         else if (cls == RegClass::Pr)
             stats.pr_used = max_used;
     }
@@ -348,16 +337,6 @@ allocateRegisters(Function &f, AnalysisManager &am)
     entry->instrs.insert(entry->instrs.begin(), alloc);
 
     return stats;
-}
-
-RegAllocStats
-allocateProgram(Program &prog)
-{
-    RegAllocStats total;
-    for (auto &fp : prog.funcs)
-        if (fp)
-            total += allocateRegisters(*fp);
-    return total;
 }
 
 } // namespace epic

@@ -2,7 +2,7 @@
  * @file
  * Linear-scan register allocation with IA-64 register-stack semantics.
  *
- * Virtual Gr/Fr registers map onto the stacked partition (r32-r127);
+ * Virtual Gr registers map onto the stacked partition (r32-r127);
  * predicates map onto p16-p63. A function's stacked-register demand is
  * recorded via an alloc instruction at entry and in
  * Function::stacked_regs — this is what the timing model's register
@@ -24,7 +24,6 @@ class AnalysisManager;
 struct RegAllocStats
 {
     int gr_used = 0;     ///< stacked general registers consumed
-    int fr_used = 0;
     int pr_used = 0;
     int spilled = 0;     ///< virtual registers spilled
     int fills = 0;       ///< fill (reload) instructions inserted
@@ -34,7 +33,6 @@ struct RegAllocStats
     operator+=(const RegAllocStats &o)
     {
         gr_used = std::max(gr_used, o.gr_used);
-        fr_used = std::max(fr_used, o.fr_used);
         pr_used = std::max(pr_used, o.pr_used);
         spilled += o.spilled;
         fills += o.fills;
@@ -43,14 +41,9 @@ struct RegAllocStats
     }
 };
 
-/** Allocate one function (idempotent: skips if already allocated). */
-RegAllocStats allocateRegisters(Function &f);
-
-/** Same, reading CFG/liveness through the manager. */
+/** Allocate one function (idempotent: skips if already allocated),
+ *  reading CFG/liveness through the manager. */
 RegAllocStats allocateRegisters(Function &f, AnalysisManager &am);
-
-/** Allocate every function in the program. */
-RegAllocStats allocateProgram(Program &prog);
 
 } // namespace epic
 

@@ -2,7 +2,6 @@
  * @file
  * Set-associative LRU cache and the Itanium-2-like three-level
  * hierarchy (16K L1I + 16K L1D, unified 256K L2, unified 3M L3).
- * Floating-point loads bypass L1D (as on the real machine).
  */
 #ifndef EPIC_SIM_CACHES_H
 #define EPIC_SIM_CACHES_H
@@ -121,19 +120,19 @@ class MemHierarchy
   public:
     explicit MemHierarchy(const MachineConfig &mach);
 
-    /** Integer/FP data load (fp loads bypass L1D). */
+    /** Data load. */
     MemAccessResult
-    load(uint64_t addr, bool fp)
+    load(uint64_t addr)
     {
         MemAccessResult r;
-        if (!fp && l1d_.access(addr)) {
+        if (l1d_.access(addr)) {
             r.l1_hit = true;
             r.latency = mach_.l1d.latency;
             return r;
         }
         if (l2_.access(addr)) {
             r.l2_hit = true;
-            r.latency = mach_.l2.latency + (fp ? 1 : 0);
+            r.latency = mach_.l2.latency;
             return r;
         }
         if (l3_.access(addr)) {

@@ -57,11 +57,6 @@ class CkptWriter
         raw(&v, sizeof v);
     }
     void
-    f64(double v)
-    {
-        raw(&v, sizeof v);
-    }
-    void
     raw(const void *p, size_t n)
     {
         buf_.append(static_cast<const char *>(p), n);
@@ -110,13 +105,6 @@ class CkptReader
     i64()
     {
         int64_t v;
-        raw(&v, sizeof v);
-        return v;
-    }
-    double
-    f64()
-    {
-        double v;
         raw(&v, sizeof v);
         return v;
     }

@@ -4,38 +4,6 @@
 
 namespace epic {
 
-std::vector<GroupInfo>
-buildGroups(const BasicBlock &b)
-{
-    std::vector<GroupInfo> groups;
-    GroupInfo cur;
-    for (const Bundle &bun : b.bundles) {
-        uint64_t line = bun.addr & ~63ull;
-        if (std::find(cur.lines.begin(), cur.lines.end(), line) ==
-            cur.lines.end()) {
-            cur.lines.push_back(line);
-        }
-        for (int slot = 0; slot < 3; ++slot) {
-            int16_t s = bun.slots[slot];
-            if (s == kSlotNop) {
-                ++cur.nops;
-            } else {
-                cur.ops.push_back(s);
-                cur.addrs.push_back(bun.addr +
-                                    static_cast<uint64_t>(slot));
-                cur.attr_union |= b.instrs[s].attr;
-            }
-        }
-        if (bun.stop_after) {
-            groups.push_back(std::move(cur));
-            cur = GroupInfo{};
-        }
-    }
-    if (!cur.ops.empty() || cur.nops > 0)
-        groups.push_back(std::move(cur));
-    return groups;
-}
-
 namespace {
 
 /** Flatten one IR instruction into its fixed-size decoded record. */
@@ -78,11 +46,6 @@ decodeInstr(const Program &prog, const Instruction &inst)
           case Operand::Kind::Imm:
             s.kind = DecodedOp::K::Imm;
             s.imm = o.imm;
-            s.fimm = static_cast<double>(o.imm);
-            break;
-          case Operand::Kind::FImm:
-            s.kind = DecodedOp::K::FImm;
-            s.fimm = o.fimm;
             break;
           case Operand::Kind::Sym:
             // Resolve now when data layout has run; otherwise defer to
@@ -200,34 +163,54 @@ DecodedProgram::build(const Program &prog, bool want_order,
                 db.straight_len = sl;
             }
             if (want_groups) {
+                // Issue groups straight from the bundles: a stop bit
+                // closes the group, and a trailing group without one
+                // still counts. Members go to the pools in slot order.
                 group_off[bid] =
                     static_cast<uint32_t>(df.group_pool_.size());
-                std::vector<GroupInfo> g = buildGroups(*b);
-                db.ngroups = static_cast<uint32_t>(g.size());
-                for (const GroupInfo &gi : g) {
-                    DecodedGroup dg;
-                    dg.op_off =
-                        static_cast<uint32_t>(df.gop_pool_.size());
+                DecodedGroup dg;
+                auto open_group = [&] {
+                    dg = DecodedGroup{};
+                    dg.op_off = static_cast<uint32_t>(df.gop_pool_.size());
                     dg.line_off =
                         static_cast<uint32_t>(df.gline_pool_.size());
-                    dg.nops = static_cast<uint16_t>(gi.ops.size());
-                    dg.nnops = static_cast<uint16_t>(gi.nops);
-                    dg.nlines = static_cast<uint16_t>(gi.lines.size());
-                    dg.attr_union = gi.attr_union;
-                    for (int op : gi.ops) {
-                        df.gop_pool_.push_back(op);
+                };
+                open_group();
+                for (const Bundle &bun : b->bundles) {
+                    const uint64_t line = bun.addr & ~63ull;
+                    const uint64_t *lines =
+                        df.gline_pool_.data() + dg.line_off;
+                    if (std::find(lines, lines + dg.nlines, line) ==
+                        lines + dg.nlines) {
+                        df.gline_pool_.push_back(line);
+                        ++dg.nlines;
+                    }
+                    for (int slot = 0; slot < 3; ++slot) {
+                        const int16_t s = bun.slots[slot];
+                        if (s == kSlotNop) {
+                            ++dg.nnops;
+                            continue;
+                        }
+                        df.gop_pool_.push_back(s);
+                        df.gaddr_pool_.push_back(
+                            bun.addr + static_cast<uint64_t>(slot));
                         // Dense group-ordered copy for the timing
                         // loop's linear member walk.
                         df.gdinstr_pool_.push_back(
                             df.dinstr_pool_[dinstr_off[bid] +
-                                            static_cast<uint32_t>(op)]);
+                                            static_cast<uint32_t>(s)]);
+                        dg.attr_union |= b->instrs[s].attr;
+                        ++dg.nops;
                     }
-                    for (uint64_t a : gi.addrs)
-                        df.gaddr_pool_.push_back(a);
-                    for (uint64_t l : gi.lines)
-                        df.gline_pool_.push_back(l);
-                    df.group_pool_.push_back(dg);
+                    if (bun.stop_after) {
+                        df.group_pool_.push_back(dg);
+                        open_group();
+                    }
                 }
+                if (dg.nops > 0 || dg.nnops > 0)
+                    df.group_pool_.push_back(dg);
+                db.ngroups = static_cast<uint32_t>(df.group_pool_.size()) -
+                             group_off[bid];
             }
         }
 

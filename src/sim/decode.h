@@ -45,8 +45,7 @@ struct DecodedOp
 {
     enum class K : uint8_t {
         Reg,    ///< read a register
-        Imm,    ///< integer immediate (fimm holds the double view)
-        FImm,   ///< floating immediate
+        Imm,    ///< integer immediate
         Val,    ///< resolved symbol address or function token
         SymLazy ///< symbol whose address was unknown at decode time
     };
@@ -54,7 +53,6 @@ struct DecodedOp
     K kind = K::Imm;
     Reg reg;
     int64_t imm = 0;   ///< integer value (K::Imm/Val) or offset (SymLazy)
-    double fimm = 0.0; ///< FP view (K::Imm/FImm)
     int32_t sym = -1;  ///< data symbol id (K::SymLazy)
 };
 
@@ -94,24 +92,9 @@ struct DecodedInstr
     DecodedOp src[3];
 };
 
-/** One issue group of a scheduled block: instruction indices in slot
- *  order plus everything the front-end model needs per group. This is
- *  the *builder* form; the simulators consume the flattened
- *  DecodedGroup spans below. */
-struct GroupInfo
-{
-    std::vector<int> ops;        ///< instruction indices, slot order
-    std::vector<uint64_t> addrs; ///< per-op code address (bundle+slot)
-    std::vector<uint64_t> lines; ///< distinct 64B I-cache lines
-    int nops = 0;
-    uint32_t attr_union = 0;     ///< OR of member provenance attrs
-};
-
-/** Issue groups of a scheduled block (empty for unscheduled blocks). */
-std::vector<GroupInfo> buildGroups(const BasicBlock &b);
-
 /**
- * One issue group, flattened: spans into the per-function pools
+ * One issue group of a scheduled block (its bundles up to a stop bit),
+ * flattened: spans into the per-function pools
  * (DecodedFunction::gop/gaddr/gline pools). A group averages only a
  * few ops, so keeping each group's members in three small heap vectors
  * made the timing simulator's per-group walk three pointer chases; the
@@ -268,21 +251,6 @@ evalGrDec(const Program &prog, const Frame &f, const DecodedOp &o)
     }
 }
 
-/** Evaluate an Fr-or-immediate decoded source operand. */
-inline double
-evalFrDec(const Frame &f, const DecodedOp &o)
-{
-    switch (o.kind) {
-      case DecodedOp::K::Reg:
-        return f.fr[o.reg.id];
-      case DecodedOp::K::FImm:
-      case DecodedOp::K::Imm:
-        return o.fimm;
-      default:
-        epic_panic("bad Fr operand kind");
-    }
-}
-
 } // namespace detail
 
 /**
@@ -305,7 +273,6 @@ execDecodedImpl(const Program &prog, const DecodedInstr &inst,
                 Frame &frame, Memory &mem)
 {
     using detail::evalGrDec;
-    using detail::evalFrDec;
 
     const Opcode op =
         KnownOp >= 0 ? static_cast<Opcode>(KnownOp) : inst.op;
@@ -315,8 +282,7 @@ execDecodedImpl(const Program &prog, const DecodedInstr &inst,
 
     // Unc-type compares write their destinations even when the guard is
     // false; everything else is fully squashed.
-    const bool is_cmp = op == Opcode::CMP || op == Opcode::CMPI ||
-                        op == Opcode::FCMP;
+    const bool is_cmp = op == Opcode::CMP || op == Opcode::CMPI;
     if (!guard_true) {
         if (is_cmp && inst.ctype == CmpType::Unc) {
             frame.writePr(inst.dest0, false);
@@ -415,15 +381,6 @@ execDecodedImpl(const Program &prog, const DecodedInstr &inst,
         break;
       }
 
-      case Opcode::FCMP: {
-        double a = evalFrDec(frame, inst.src[0]);
-        double b = evalFrDec(frame, inst.src[1]);
-        bool c = detail::fcmpEval(inst.cond, a, b);
-        frame.writePr(inst.dest0, c);
-        frame.writePr(inst.dest1, !c);
-        break;
-      }
-
       // ld.a is architecturally a plain load (the ALAT is timing-only
       // state); chk.a is an idempotent reload of the same address into
       // the same destination, so re-executing the load IS the recovery.
@@ -488,101 +445,6 @@ execDecodedImpl(const Program &prog, const DecodedInstr &inst,
             eff.trap_msg = "store to unmapped page";
             break;
         }
-        break;
-      }
-
-      case Opcode::LDF: {
-        GrVal a = evalGrDec(prog, frame, inst.src[0]);
-        eff.is_mem = true;
-        eff.is_load = true;
-        eff.size = 8;
-        if (a.nat) {
-            eff.trap = true;
-            eff.trap_msg = "ldf with NaT address";
-            break;
-        }
-        uint64_t addr = static_cast<uint64_t>(a.v);
-        eff.addr = addr;
-        uint64_t raw = 0;
-        if ((addr >> Memory::kPageBits) == 0 ||
-            !mem.tryRead(addr, 8, raw)) {
-            eff.trap = true;
-            eff.trap_msg = "ldf from unmapped page";
-            break;
-        }
-        double d;
-        static_assert(sizeof(d) == sizeof(raw));
-        __builtin_memcpy(&d, &raw, 8);
-        frame.fr[inst.dest0.id] = d;
-        break;
-      }
-
-      case Opcode::STF: {
-        GrVal a = evalGrDec(prog, frame, inst.src[0]);
-        double v = evalFrDec(frame, inst.src[1]);
-        eff.is_mem = true;
-        eff.size = 8;
-        if (a.nat) {
-            eff.trap = true;
-            eff.trap_msg = "stf with NaT address";
-            break;
-        }
-        uint64_t addr = static_cast<uint64_t>(a.v);
-        eff.addr = addr;
-        uint64_t raw;
-        __builtin_memcpy(&raw, &v, 8);
-        if ((addr >> Memory::kPageBits) == 0 ||
-            !mem.tryWrite(addr, raw, 8)) {
-            eff.trap = true;
-            eff.trap_msg = "stf to unmapped page";
-            break;
-        }
-        break;
-      }
-
-      case Opcode::FADD: case Opcode::FSUB: case Opcode::FMUL:
-      case Opcode::FDIV: {
-        double a = evalFrDec(frame, inst.src[0]);
-        double b = evalFrDec(frame, inst.src[1]);
-        double r = 0.0;
-        switch (op) {
-          case Opcode::FADD: r = a + b; break;
-          case Opcode::FSUB: r = a - b; break;
-          case Opcode::FMUL: r = a * b; break;
-          case Opcode::FDIV: r = a / b; break;
-          default: break;
-        }
-        frame.fr[inst.dest0.id] = r;
-        break;
-      }
-
-      case Opcode::FMA: {
-        double a = evalFrDec(frame, inst.src[0]);
-        double b = evalFrDec(frame, inst.src[1]);
-        double c = evalFrDec(frame, inst.src[2]);
-        frame.fr[inst.dest0.id] = a * b + c;
-        break;
-      }
-
-      case Opcode::FNEG:
-        frame.fr[inst.dest0.id] = -evalFrDec(frame, inst.src[0]);
-        break;
-
-      case Opcode::CVTFI: {
-        double a = evalFrDec(frame, inst.src[0]);
-        frame.writeGr(inst.dest0,
-                      GrVal{static_cast<int64_t>(a), false});
-        break;
-      }
-
-      case Opcode::CVTIF: {
-        GrVal a = evalGrDec(prog, frame, inst.src[0]);
-        if (a.nat) {
-            eff.trap = true;
-            eff.trap_msg = "cvtif consumed NaT";
-            break;
-        }
-        frame.fr[inst.dest0.id] = static_cast<double>(a.v);
         break;
       }
 

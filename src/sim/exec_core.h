@@ -50,7 +50,6 @@ struct Frame
 {
     const Function *fn = nullptr;
     std::vector<GrVal> gr;
-    std::vector<double> fr;
     std::vector<uint8_t> pr;
 
     // Caller resume point.
@@ -75,7 +74,7 @@ struct Frame
      * Re-initialize a recycled frame for a new activation — identical
      * post-state to constructing Frame(f, sp_value), but reuses the
      * register-file vector capacity. Lets the simulators pool frames
-     * across call/return instead of reallocating three vectors per call.
+     * across call/return instead of reallocating two vectors per call.
      */
     void
     reset(const Function *f, uint64_t sp_value)
@@ -87,12 +86,9 @@ struct Frame
         ret_dest = Reg();
         int ngr = std::max(physRegCount(RegClass::Gr),
                            f->virtLimit(RegClass::Gr));
-        int nfr = std::max(physRegCount(RegClass::Fr),
-                           f->virtLimit(RegClass::Fr));
         int npr = std::max(physRegCount(RegClass::Pr),
                            f->virtLimit(RegClass::Pr));
         gr.assign(ngr, GrVal{});
-        fr.assign(nfr, 0.0);
         pr.assign(npr, 0);
         pr[0] = 1; // p0; r0 is the GrVal{} assigned above
         gr[kGrSp.id] = GrVal{static_cast<int64_t>(sp), false};
@@ -194,22 +190,6 @@ cmpEval(CmpCond cond, int64_t a, int64_t b)
         return static_cast<uint64_t>(a) < static_cast<uint64_t>(b);
       case CmpCond::GEU:
         return static_cast<uint64_t>(a) >= static_cast<uint64_t>(b);
-    }
-    return false;
-}
-
-inline bool
-fcmpEval(CmpCond cond, double a, double b)
-{
-    switch (cond) {
-      case CmpCond::EQ: return a == b;
-      case CmpCond::NE: return a != b;
-      case CmpCond::LT: return a < b;
-      case CmpCond::LE: return a <= b;
-      case CmpCond::GT: return a > b;
-      case CmpCond::GE: return a >= b;
-      case CmpCond::LTU: return a < b;
-      case CmpCond::GEU: return a >= b;
     }
     return false;
 }

@@ -264,9 +264,7 @@ interpret(Program &prog, Memory &mem, const InterpOptions &opts)
         &&h_SHL, &&h_SHR, &&h_SAR, &&h_SHLI, &&h_SHRI, &&h_SARI,
         &&h_SXT, &&h_ZXT,
         &&h_MUL, &&h_DIV, &&h_REM,
-        &&h_LD, &&h_ST, &&h_LDF, &&h_STF,
-        &&h_FADD, &&h_FSUB, &&h_FMUL, &&h_FDIV, &&h_FMA, &&h_FNEG,
-        &&h_FCMP, &&h_CVTFI, &&h_CVTIF,
+        &&h_LD, &&h_ST,
         &&h_BR, &&h_BR_CALL, &&h_BR_ICALL, &&h_BR_RET, &&h_CHK_S,
         &&h_ALLOC, &&h_NOP,
         &&h_LD_A, &&h_CHK_A,
@@ -373,17 +371,6 @@ interpret(Program &prog, Memory &mem, const InterpOptions &opts)
     EPIC_HANDLER(REM)
     EPIC_HANDLER(LD)
     EPIC_HANDLER(ST)
-    EPIC_HANDLER(LDF)
-    EPIC_HANDLER(STF)
-    EPIC_HANDLER(FADD)
-    EPIC_HANDLER(FSUB)
-    EPIC_HANDLER(FMUL)
-    EPIC_HANDLER(FDIV)
-    EPIC_HANDLER(FMA)
-    EPIC_HANDLER(FNEG)
-    EPIC_HANDLER(FCMP)
-    EPIC_HANDLER(CVTFI)
-    EPIC_HANDLER(CVTIF)
     EPIC_HANDLER(ALLOC)
     EPIC_HANDLER(NOP)
     EPIC_HANDLER(LD_A)

@@ -138,21 +138,6 @@ Memory::writeBytes(uint64_t addr, const uint8_t *data, uint64_t len)
     }
 }
 
-void
-Memory::readBytes(uint64_t addr, uint8_t *out, uint64_t len) const
-{
-    while (len > 0) {
-        const uint8_t *p = pageForRead(addr);
-        epic_assert(p, "readBytes from unmapped address");
-        const uint64_t off = addr & kPageMask;
-        const uint64_t chunk = std::min(len, kPageSize - off);
-        std::memcpy(out, p + off, chunk);
-        addr += chunk;
-        out += chunk;
-        len -= chunk;
-    }
-}
-
 uint64_t
 Memory::flipBit(uint64_t sel)
 {

@@ -105,9 +105,8 @@ class Memory
         return tryWriteCross(addr, value, size);
     }
 
-    /** Bulk host-side accessors (map pages on demand for writes). */
+    /** Bulk host-side write (maps pages on demand). */
     void writeBytes(uint64_t addr, const uint8_t *data, uint64_t len);
-    void readBytes(uint64_t addr, uint8_t *out, uint64_t len) const;
 
     /** Build the initial image for a program: data symbols + stack. */
     void initFromProgram(const Program &prog);

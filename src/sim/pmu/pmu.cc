@@ -228,12 +228,6 @@ PmuData::dearRing() const
     return unrollRing(dear_ring_, dear_events_, kEarRingDepth);
 }
 
-std::vector<PmuData::EarRecord>
-PmuData::iearRing() const
-{
-    return unrollRing(iear_ring_, iear_events_, kEarRingDepth);
-}
-
 void
 PmuData::recordBranch(uint64_t paddr, int fid, int bid, bool taken,
                       bool mispred)
@@ -254,13 +248,6 @@ PmuData::recordBranch(uint64_t paddr, int fid, int bid, bool taken,
     else
         btb_ring_[static_cast<size_t>(btb_count_ % depth)] = rec;
     ++btb_count_;
-}
-
-std::vector<PmuData::BtbRecord>
-PmuData::btbRing() const
-{
-    return unrollRing(btb_ring_, btb_count_,
-                      static_cast<size_t>(opt_.btb_depth));
 }
 
 PmuData::RegionCycles *

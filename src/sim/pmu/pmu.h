@@ -176,7 +176,6 @@ class PmuData
     uint64_t iearEvents() const { return iear_events_; }
     /** Raw captures, oldest first. */
     std::vector<EarRecord> dearRing() const;
-    std::vector<EarRecord> iearRing() const;
 
     // ---- Branch trace buffer + per-branch profile ----
     struct BtbRecord
@@ -202,8 +201,6 @@ class PmuData
     {
         return branch_profile_;
     }
-    /** Trace-buffer contents, oldest first. */
-    std::vector<BtbRecord> btbRing() const;
     uint64_t branchRecords() const { return btb_count_; }
 
     // ---- Hot regions ----

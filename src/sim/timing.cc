@@ -37,21 +37,20 @@ struct RegT
 struct TFrame
 {
     // Indexed like the architectural frame's register files.
-    std::vector<RegT> gr, fr;
+    std::vector<RegT> gr;
     std::vector<int64_t> ready_pr;
 
-    TFrame(size_t ngr, size_t nfr, size_t npr)
+    TFrame(size_t ngr, size_t npr)
     {
-        reset(ngr, nfr, npr);
+        reset(ngr, npr);
     }
 
     /** Re-zero for a new activation, reusing the vectors' capacity (the
      *  timing frames are pooled across call/return). */
     void
-    reset(size_t ngr, size_t nfr, size_t npr)
+    reset(size_t ngr, size_t npr)
     {
         gr.assign(ngr, RegT{});
-        fr.assign(nfr, RegT{});
         ready_pr.assign(npr, 0);
     }
 };
@@ -271,11 +270,11 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                         stack_top - Frame::frameBytes(*entry_fn));
     auto push_tframe = [&](const Frame &f) {
         if (tframe_pool.empty()) {
-            tframes.emplace_back(f.gr.size(), f.fr.size(), f.pr.size());
+            tframes.emplace_back(f.gr.size(), f.pr.size());
         } else {
             tframes.push_back(std::move(tframe_pool.back()));
             tframe_pool.pop_back();
-            tframes.back().reset(f.gr.size(), f.fr.size(), f.pr.size());
+            tframes.back().reset(f.gr.size(), f.pr.size());
         }
     };
     push_tframe(frames.back());
@@ -473,9 +472,6 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                 w.i64(g.v);
                 w.u8(g.nat ? 1 : 0);
             }
-            w.u64(f.fr.size());
-            for (const double d : f.fr)
-                w.f64(d);
             w.u64(f.pr.size());
             w.raw(f.pr.data(), f.pr.size());
             w.i64(f.ret_block);
@@ -496,7 +492,6 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                 }
             };
             put(t.gr);
-            put(t.fr);
             w.u64(t.ready_pr.size());
             for (const int64_t p : t.ready_pr)
                 w.i64(p);
@@ -570,9 +565,6 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                 g.v = r.i64();
                 g.nat = r.u8() != 0;
             }
-            f.fr.resize(r.u64());
-            for (double &d : f.fr)
-                d = r.f64();
             f.pr.resize(r.u64());
             r.raw(f.pr.data(), f.pr.size());
             f.ret_block = static_cast<int>(r.i64());
@@ -584,7 +576,7 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
         tframes.clear();
         const uint64_t ntf = r.u64();
         for (uint64_t i = 0; i < ntf; ++i) {
-            tframes.emplace_back(0, 0, 0);
+            tframes.emplace_back(0, 0);
             TFrame &t = tframes.back();
             auto get = [&r](std::vector<RegT> &v) {
                 v.resize(r.u64());
@@ -596,7 +588,6 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                 }
             };
             get(t.gr);
-            get(t.fr);
             t.ready_pr.resize(r.u64());
             for (int64_t &p : t.ready_pr)
                 p = r.i64();
@@ -767,9 +758,6 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                 if (r.cls == RegClass::Gr && r.id != 0) {
                     const RegT &t = tf.gr[r.id];
                     consider(t.ready, t.planned, t.f_unit, t.load);
-                } else if (r.cls == RegClass::Fr) {
-                    const RegT &t = tf.fr[r.id];
-                    consider(t.ready, t.planned, t.f_unit, t.load);
                 } else if (r.cls == RegClass::Pr && r.id != 0) {
                     consider(tf.ready_pr[r.id], base, false, false);
                 }
@@ -921,10 +909,9 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                                     tlb_extra = mach.vhpt_walk_cycles;
                                     dtlb.insert(page);
                                 }
-                                bool fp = di.op == Opcode::LDF;
-                                MemAccessResult mr = hier.load(eff.addr, fp);
+                                MemAccessResult mr = hier.load(eff.addr);
                                 ++pm.l1d_accesses;
-                                if (!mr.l1_hit && !fp)
+                                if (!mr.l1_hit)
                                     ++pm.l1d_misses;
                                 actual_lat = std::max(planned_lat,
                                                       mr.latency + tlb_extra);
@@ -999,12 +986,6 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                     auto mark_dest = [&](const Reg &d) {
                         if (d.cls == RegClass::Gr && d.id != 0) {
                             tf.gr[d.id] =
-                                RegT{issue + actual_lat,
-                                     issue + planned_lat,
-                                     static_cast<uint8_t>(is_f),
-                                     static_cast<uint8_t>(is_ld)};
-                        } else if (d.cls == RegClass::Fr) {
-                            tf.fr[d.id] =
                                 RegT{issue + actual_lat,
                                      issue + planned_lat,
                                      static_cast<uint8_t>(is_f),

@@ -77,8 +77,7 @@ checkedGrSrc(Opcode op)
       case Opcode::SHRI: case Opcode::SARI:
       case Opcode::SXT: case Opcode::ZXT:
       case Opcode::CMP: case Opcode::CMPI:
-      case Opcode::LD: case Opcode::ST: case Opcode::LDF:
-      case Opcode::CVTIF:
+      case Opcode::LD: case Opcode::ST:
         return true;
       default:
         return false;
@@ -100,7 +99,7 @@ checkedGrDest(Opcode op)
       case Opcode::ORI: case Opcode::XORI: case Opcode::SHLI:
       case Opcode::SHRI: case Opcode::SARI:
       case Opcode::SXT: case Opcode::ZXT:
-      case Opcode::LD: case Opcode::CVTFI:
+      case Opcode::LD:
         return true;
       default:
         return false;
@@ -348,8 +347,8 @@ FaultInjector::inject(Function &f, const std::string &pass,
             detail << "retargeted to invalid bb" << inst.target;
             break;
           case FaultKind::OperandSwap:
-            inst.srcs[0].reg.cls = RegClass::Fr;
-            detail << "src0 rewritten into the Fr class";
+            inst.srcs[0].reg.cls = RegClass::Br;
+            detail << "src0 rewritten into the Br class";
             break;
           case FaultKind::GuardCorrupt:
             inst.guard = Reg(RegClass::Gr, 1);

@@ -96,11 +96,5 @@ warnImpl(const std::string &msg)
     writeLineLocked(stderr, "warn: " + msg + "\n");
 }
 
-void
-informImpl(const std::string &msg)
-{
-    writeLine(stdout, "info: " + msg + "\n");
-}
-
 } // namespace detail
 } // namespace epic

@@ -1,7 +1,7 @@
 /**
  * @file
- * Error-reporting and status-message helpers, following the gem5
- * panic()/fatal()/warn()/inform() discipline:
+ * Error-reporting helpers, following the gem5 panic()/fatal()/warn()
+ * discipline (the library prints no plain status messages):
  *
  *  - panic():  an internal invariant was violated (a bug in EpicLab itself).
  *              Aborts, so a debugger or core dump can capture the state.
@@ -10,7 +10,6 @@
  *              Exits with status 1.
  *  - warn():   something is suspicious or only approximately modelled but
  *              execution can continue.
- *  - inform(): plain status output.
  */
 #ifndef EPIC_SUPPORT_LOGGING_H
 #define EPIC_SUPPORT_LOGGING_H
@@ -39,7 +38,6 @@ composeMessage(const Args &...args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace detail
 
@@ -73,10 +71,6 @@ void flushSuppressedWarnings();
 /** Non-fatal warning. */
 #define epic_warn(...)                                                      \
     ::epic::detail::warnImpl(::epic::detail::composeMessage(__VA_ARGS__))
-
-/** Status message. */
-#define epic_inform(...)                                                    \
-    ::epic::detail::informImpl(::epic::detail::composeMessage(__VA_ARGS__))
 
 /** Checked assertion that survives NDEBUG; use for cheap invariants. */
 #define epic_assert(cond, ...)                                              \

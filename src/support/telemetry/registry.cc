@@ -66,13 +66,6 @@ StatsRegistry::getInt(const std::string &path) const
     return it == stats_.end() ? 0 : it->second.i;
 }
 
-double
-StatsRegistry::getFloat(const std::string &path) const
-{
-    auto it = stats_.find(path);
-    return it == stats_.end() ? 0.0 : it->second.f;
-}
-
 void
 StatsRegistry::declareSum(const std::string &name,
                           const std::string &addend_prefix,

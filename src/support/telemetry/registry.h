@@ -88,7 +88,6 @@ class StatsRegistry
     bool has(const std::string &path) const;
     /** Integer value at `path`; 0 when absent (like a zero counter). */
     int64_t getInt(const std::string &path) const;
-    double getFloat(const std::string &path) const;
     /** All stats, canonically ordered by path. */
     const std::map<std::string, Stat> &stats() const { return stats_; }
 

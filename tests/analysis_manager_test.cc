@@ -1,14 +1,13 @@
 /**
  * @file
  * AnalysisManager tests: lazy hit/miss accounting, dependency-cascading
- * invalidation, the preserves-set contract for registered passes,
- * reference stability under forced recomputation, and the
- * stale-analysis checker turning "pass forgot to invalidate" into a
+ * invalidation, the preserves-set contract for registered passes, and
+ * the stale-analysis checker turning "pass forgot to invalidate" into a
  * hard error. The end-to-end acceptance properties ride along: run
- * artifacts are byte-identical whether analyses are cached, force-
- * recomputed at every query, or compiled serially vs in parallel — and
- * spuriously invalidating every cache at every pass boundary changes
- * nothing but compile time.
+ * artifacts are byte-identical whether analyses are cached or checked
+ * against a fresh recompute at every query, and whether functions are
+ * compiled serially or in parallel — and spuriously invalidating every
+ * cache at every pass boundary changes nothing but compile time.
  */
 #include <gtest/gtest.h>
 
@@ -187,14 +186,14 @@ TEST(AnalysisManagerTest, InvalidateAllExceptDemotesLiveness)
     EXPECT_TRUE(am.isCached(AnalysisKind::Cfg));
 }
 
-TEST(AnalysisManagerTest, ForceRecomputeIsCounterIdenticalAndStable)
+TEST(AnalysisManagerTest, StaleCheckIsCounterIdentical)
 {
     // Counter parity: the same query sequence accounts identically in
-    // Cached and ForceRecompute mode — this is what keeps the JSONL
+    // Cached and StaleCheck mode — this is what keeps the JSONL
     // artifact byte-comparable across modes.
     Diamond d1, d2;
     AnalysisManager cached(*d1.f, nullptr, AnalysisMode::Cached);
-    AnalysisManager forced(*d2.f, nullptr, AnalysisMode::ForceRecompute);
+    AnalysisManager checked(*d2.f, nullptr, AnalysisMode::StaleCheck);
     auto drive = [](AnalysisManager &am, const Diamond &d) {
         am.cfg();
         am.domTree();
@@ -210,27 +209,11 @@ TEST(AnalysisManagerTest, ForceRecomputeIsCounterIdenticalAndStable)
         am.cfg();
     };
     drive(cached, d1);
-    drive(forced, d2);
-    EXPECT_EQ(cached.counters().hits, forced.counters().hits);
-    EXPECT_EQ(cached.counters().misses, forced.counters().misses);
+    drive(checked, d2);
+    EXPECT_EQ(cached.counters().hits, checked.counters().hits);
+    EXPECT_EQ(cached.counters().misses, checked.counters().misses);
     EXPECT_EQ(cached.counters().invalidations,
-              forced.counters().invalidations);
-
-    // Reference stability: a hit-path recompute reuses the cached
-    // object's storage, so outstanding references observe the fresh
-    // value instead of dangling.
-    const Cfg &c = forced.cfg();
-    ASSERT_EQ(c.succs(d2.entry->id).size(), 2u);
-    d2.retargetBranch(); // mutate without invalidating
-    const Cfg &c2 = forced.cfg();
-    EXPECT_EQ(&c, &c2);
-    const auto succs = c.succs(d2.entry->id);
-    EXPECT_NE(std::find(succs.begin(), succs.end(), d2.join->id),
-              succs.end())
-        << "recompute-on-hit must observe the retargeted branch";
-    // Liveness hit-path recompute refreshes its Cfg dependency in
-    // place first; this must not crash or dangle.
-    forced.liveness();
+              checked.counters().invalidations);
 }
 
 TEST(AnalysisManagerDeathTest, StaleCheckCatchesForgottenInvalidate)
@@ -364,22 +347,11 @@ TEST(AnalysisManagerTest, ArtifactByteIdenticalAcrossModesAndJobs)
         EXPECT_TRUE(violations.empty()) << violations.front();
         return a;
     };
-    // compile.arena.* counters are deterministic but legitimately
-    // mode-dependent (ForceRecompute really does allocate more in the
-    // analysis arena), so the cross-mode identity is checked modulo
-    // those keys.
-    auto strip_arena = [](std::string s) {
-        size_t p;
-        while ((p = s.find("\"compile.arena.")) != std::string::npos)
-            s.erase(p, s.find(',', p) - p + 1);
-        return s;
-    };
     const std::string cached = artifact(AnalysisMode::Cached, 1);
-    // Hit/miss accounting is mode-invariant by design, so recomputing
-    // every query must not change a byte — if it does, a cached result
-    // diverged from a fresh one somewhere, i.e. a real staleness bug.
-    EXPECT_EQ(strip_arena(cached),
-              strip_arena(artifact(AnalysisMode::ForceRecompute, 1)));
+    // Hit/miss accounting is mode-invariant by design and the checker's
+    // scratch recomputes use private, uncounted arenas, so checking
+    // every query against a fresh recompute must not change a byte.
+    EXPECT_EQ(cached, artifact(AnalysisMode::StaleCheck, 1));
     // And per-function managers make the counters schedule-independent:
     // byte-exact across --jobs, arena keys included.
     EXPECT_EQ(cached, artifact(AnalysisMode::Cached, 4));

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "analysis/manager.h"
 #include "ilp/hyperblock.h"
 #include "ilp/layout.h"
 #include "ilp/peel.h"
@@ -105,7 +106,8 @@ TEST(SuperblockTest, FormsTraceAlongDominantPath)
     Function *f = p.func(0);
     int blocks_before = f->liveBlockCount();
 
-    SuperblockStats s = formSuperblocks(*f);
+    AnalysisManager am(*f);
+    SuperblockStats s = formSuperblocks(*f, am);
     EXPECT_GE(s.traces, 1);
     EXPECT_GT(s.blocks_merged, 0);
     expectVerified(p);
@@ -118,7 +120,8 @@ TEST(SuperblockTest, TailDuplicationMarksProvenance)
     Program p = biasedLoopProgram();
     profileP(p);
     Function *f = p.func(0);
-    SuperblockStats s = formSuperblocks(*f);
+    AnalysisManager am(*f);
+    SuperblockStats s = formSuperblocks(*f, am);
     if (s.tail_dup_instrs > 0) {
         bool found = false;
         for (const auto &bp : f->blocks) {
@@ -139,7 +142,8 @@ TEST(SuperblockTest, NoTailDupModeTruncates)
     int before_instrs = p.staticInstrCount();
     SuperblockOptions opts;
     opts.allow_tail_dup = false;
-    formSuperblocks(*p.func(0), opts);
+    AnalysisManager am(*p.func(0));
+    formSuperblocks(*p.func(0), am, opts);
     // Without duplication, the static size cannot grow.
     EXPECT_LE(p.staticInstrCount(), before_instrs);
     EXPECT_EQ(run(p), [] {
@@ -223,7 +227,8 @@ TEST(HyperblockTest, ConvertsDiamond)
     profileP(p);
     int64_t before = run(p);
 
-    HyperblockStats s = formHyperblocks(*p.func(0));
+    AnalysisManager am(*p.func(0));
+    HyperblockStats s = formHyperblocks(*p.func(0), am);
     EXPECT_GE(s.regions, 1);
     EXPECT_GE(s.branches_removed, 1);
     EXPECT_GT(s.instrs_predicated, 0);
@@ -237,10 +242,12 @@ TEST(HyperblockTest, ConservativeModeConvertsLess)
     profileP(p1);
     auto p2 = p1.clone();
 
-    HyperblockStats incl = formHyperblocks(*p1.func(0));
+    AnalysisManager am1(*p1.func(0));
+    HyperblockStats incl = formHyperblocks(*p1.func(0), am1);
     HyperblockOptions copts;
     copts.conservative = true;
-    HyperblockStats cons = formHyperblocks(*p2->func(0), copts);
+    AnalysisManager am2(*p2->func(0));
+    HyperblockStats cons = formHyperblocks(*p2->func(0), am2, copts);
     EXPECT_GE(incl.regions, cons.regions);
 }
 
@@ -292,7 +299,8 @@ TEST(HyperblockTest, AlreadyGuardedCodeGetsCombinedGuard)
     int64_t before = run(p);
     EXPECT_EQ(before, 3);
 
-    HyperblockStats s = formHyperblocks(*f);
+    AnalysisManager am(*f);
+    HyperblockStats s = formHyperblocks(*f, am);
     EXPECT_GE(s.regions, 1);
     expectVerified(p);
     EXPECT_EQ(run(p), before);
@@ -466,7 +474,8 @@ TEST(SpeculateTest, PromotesGuardedLoad)
     p.entry_func = f->id;
 
     int64_t before = run(p);
-    SpecStats s = speculateFunction(*f);
+    AnalysisManager am(*f);
+    SpecStats s = speculateFunction(*f, am);
     EXPECT_GE(s.promoted, 1);
     EXPECT_GE(s.spec_loads, 1);
     expectVerified(p);
@@ -513,7 +522,8 @@ TEST(SpeculateTest, PromotedWildLoadStaysCorrect)
 
     int64_t before = run(p);
     EXPECT_EQ(before, 5);
-    SpecStats s = speculateFunction(*f);
+    AnalysisManager am(*f);
+    SpecStats s = speculateFunction(*f, am);
     EXPECT_GE(s.spec_loads, 1);
     p.layoutData();
     Memory mem;
@@ -546,7 +556,8 @@ TEST(SpeculateTest, HoistsLoadAboveSideExit)
     p.entry_func = f->id;
 
     int64_t before = run(p);
-    SpecStats s = speculateFunction(*f);
+    AnalysisManager am(*f);
+    SpecStats s = speculateFunction(*f, am);
     EXPECT_GE(s.moved, 1);
     EXPECT_GE(s.spec_loads, 1);
     expectVerified(p);
@@ -571,7 +582,8 @@ TEST(LayoutTest, HotColdSeparation)
     Program p = biasedLoopProgram();
     profileP(p);
     Function *f = p.func(0);
-    formSuperblocks(*f);
+    AnalysisManager am(*f);
+    formSuperblocks(*f, am);
     // Fake-schedule: wrap every instruction in a trivial bundle so the
     // layout has something to address.
     for (auto &bp : f->blocks) {

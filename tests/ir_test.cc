@@ -28,7 +28,6 @@ TEST(RegTest, Basics)
 TEST(RegTest, PhysicalCounts)
 {
     EXPECT_EQ(physRegCount(RegClass::Gr), 128);
-    EXPECT_EQ(physRegCount(RegClass::Fr), 128);
     EXPECT_EQ(physRegCount(RegClass::Pr), 64);
     EXPECT_EQ(physRegCount(RegClass::Br), 8);
 }

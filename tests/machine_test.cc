@@ -56,23 +56,12 @@ TEST(MemHierarchyTest, LoadLatenciesEscalate)
 {
     MachineConfig m;
     MemHierarchy h(m);
-    auto first = h.load(0x10000, false);
+    auto first = h.load(0x10000);
     EXPECT_FALSE(first.l1_hit);
     EXPECT_EQ(first.latency, m.mem_latency); // cold: memory
-    auto second = h.load(0x10000, false);
+    auto second = h.load(0x10000);
     EXPECT_TRUE(second.l1_hit);
     EXPECT_EQ(second.latency, m.l1d.latency);
-}
-
-TEST(MemHierarchyTest, FpLoadsBypassL1)
-{
-    MachineConfig m;
-    MemHierarchy h(m);
-    h.load(0x20000, false); // warm all levels
-    auto fp = h.load(0x20000, true);
-    EXPECT_FALSE(fp.l1_hit);
-    EXPECT_TRUE(fp.l2_hit);
-    EXPECT_GE(fp.latency, m.l2.latency);
 }
 
 TEST(MemHierarchyTest, InstructionFetchWarmsL1I)

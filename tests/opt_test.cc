@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/cfg.h"
+#include "analysis/manager.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
 #include "opt/classical.h"
@@ -50,7 +51,8 @@ TEST(ClassicalTest, ConstantFoldingChain)
 
     int64_t before = runOnce(p);
     AliasAnalysis aa(p, AliasLevel::Inter);
-    OptStats s = classicalOptimize(p, aa);
+    AnalysisManager am(*f, &aa);
+    OptStats s = classicalOptimizeFunction(*f, am);
     EXPECT_GT(s.folded, 0);
     EXPECT_TRUE(verifyProgram(p).empty());
     EXPECT_EQ(runOnce(p), before);
@@ -69,7 +71,8 @@ TEST(ClassicalTest, CopyPropagation)
     b.ret(d);
     p.entry_func = f->id;
     AliasAnalysis aa(p, AliasLevel::Inter);
-    OptStats s = classicalOptimize(p, aa);
+    AnalysisManager am(*f, &aa);
+    OptStats s = classicalOptimizeFunction(*f, am);
     EXPECT_GT(s.propagated + s.dce_removed, 0);
     // Copies should be gone.
     int movs = 0;
@@ -90,7 +93,8 @@ TEST(ClassicalTest, CseRemovesRedundantCompute)
     b.ret(z);
     p.entry_func = f->id;
     AliasAnalysis aa(p, AliasLevel::Inter);
-    OptStats s = classicalOptimize(p, aa);
+    AnalysisManager am(*f, &aa);
+    OptStats s = classicalOptimizeFunction(*f, am);
     EXPECT_GT(s.cse_removed, 0);
     EXPECT_TRUE(verifyProgram(p).empty());
 }
@@ -236,7 +240,8 @@ TEST(ClassicalTest, DceRemovesDeadAndKeepsStores)
     b.st(a, v, 8, MemHint{sym, -1});
     b.ret(v);
     p.entry_func = f->id;
-    OptStats s = deadCodeElim(*f);
+    AnalysisManager am(*f);
+    OptStats s = deadCodeElim(*f, am);
     EXPECT_GE(s.dce_removed, 1);
     bool store_alive = false;
     for (auto &inst : f->block(f->entry)->instrs)
@@ -258,7 +263,8 @@ TEST(ClassicalTest, GuardedDefNotDeadWhilePathLive)
     b.moviTo(out, 2, pt); // guarded def of live reg: must stay
     b.ret(out);
     p.entry_func = f->id;
-    deadCodeElim(*f);
+    AnalysisManager am(*f);
+    deadCodeElim(*f, am);
     int movis = 0;
     for (auto &inst : f->block(f->entry)->instrs)
         if (inst.op == Opcode::MOVI)
@@ -304,7 +310,8 @@ TEST(ClassicalTest, LicmHoistsInvariantLoad)
 
     int64_t before = runOnce(p);
     AliasAnalysis aa(p, AliasLevel::Inter);
-    OptStats s = classicalOptimize(p, aa);
+    AnalysisManager am(*f, &aa);
+    OptStats s = classicalOptimizeFunction(*f, am);
     EXPECT_GT(s.licm_moved, 0);
     EXPECT_TRUE(verifyProgram(p).empty());
     EXPECT_EQ(runOnce(p), before);
@@ -321,7 +328,8 @@ TEST(ClassicalTest, PeepholeStrengthReduction)
     b.ret(r);
     p.entry_func = f->id;
     AliasAnalysis aa(p, AliasLevel::Inter);
-    classicalOptimize(p, aa);
+    AnalysisManager am(*f, &aa);
+    classicalOptimizeFunction(*f, am);
     bool has_mul = false, has_shl = false;
     for (auto &inst : f->block(f->entry)->instrs) {
         if (inst.op == Opcode::MUL)

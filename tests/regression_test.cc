@@ -7,6 +7,7 @@
 
 #include "analysis/cfg.h"
 #include "analysis/liveness.h"
+#include "analysis/manager.h"
 #include "ilp/superblock.h"
 #include "opt/classical.h"
 #include "driver/compiler.h"
@@ -14,6 +15,7 @@
 #include "ir/verifier.h"
 #include "sched/regalloc.h"
 #include "sim/interp.h"
+#include "sim/timing.h"
 
 namespace epic {
 namespace {
@@ -104,7 +106,8 @@ TEST(LivenessRegression, AllocationPreservesSideExitValues)
         ASSERT_TRUE(r.ok) << r.error;
         truth = r.ret_value;
     }
-    allocateProgram(p);
+    AnalysisManager am(*f);
+    allocateRegisters(*f, am);
     ASSERT_TRUE(verifyProgram(p).empty());
     {
         Memory mem;
@@ -152,7 +155,8 @@ TEST(LivenessRegression, AndTypeCompareDoesNotKill)
         defsAreUnconditional(f->block(f->entry)->instrs[1]));
 
     // DCE must not delete the initializing movp.
-    deadCodeElim(*f);
+    AnalysisManager am(*f);
+    deadCodeElim(*f, am);
     bool movp_alive = false;
     for (const Instruction &inst : f->block(f->entry)->instrs)
         if (inst.op == Opcode::MOVP)
@@ -247,10 +251,92 @@ TEST(SuperblockRegression, DuplicateExitTargetsDoNotDangle)
     for (auto &bp : f->blocks)
         if (bp)
             bp->weight = 100;
-    formSuperblocks(*f);
+    AnalysisManager am(*f);
+    formSuperblocks(*f, am);
     auto errs = verifyProgram(p);
     EXPECT_TRUE(errs.empty()) << (errs.empty() ? "" : errs[0]);
 }
 
 } // namespace
+/**
+ * Compile `p` at GCC, O-NS and ILP-CS (after a profile run) and check
+ * that the timing simulator returns what the source interpreter does.
+ */
+void
+expectRungsMatchSource(Program &p, int64_t truth)
+{
+    p.layoutData();
+    ASSERT_TRUE(verifyProgram(p).empty());
+    {
+        Memory mem;
+        mem.initFromProgram(p);
+        auto r = interpret(p, mem);
+        ASSERT_TRUE(r.ok) << r.error;
+        ASSERT_EQ(r.ret_value, truth);
+    }
+    {
+        Memory mem;
+        mem.initFromProgram(p);
+        ASSERT_TRUE(profileRun(p, mem).ok);
+    }
+    for (Config cfg : {Config::Gcc, Config::ONS, Config::IlpCs}) {
+        Compiled c = compileProgram(p, cfg);
+        Memory mem;
+        mem.initFromProgram(*c.prog);
+        auto r = simulate(*c.prog, mem, {});
+        ASSERT_TRUE(r.ok) << configName(cfg) << ": " << r.error;
+        EXPECT_EQ(r.ret_value, truth) << configName(cfg);
+    }
+}
+
+/**
+ * Guard: r0 is hardwired to zero and both simulators discard writes to
+ * it, so a constant written to r0 must not reach r0's readers (value
+ * propagation once folded `movi gr0 = 77; add x = n, gr0` to 82).
+ */
+TEST(ClassicalRegression, ConstantWrittenToR0IsNotPropagated)
+{
+    Program p;
+    IRBuilder b(p);
+    Function *f = b.beginFunction("main", 0);
+    Reg n = b.movi(5);
+    b.moviTo(kGrZero, 77);
+    b.ret(b.add(n, kGrZero));
+    p.entry_func = f->id;
+    expectRungsMatchSource(p, 5);
+}
+
+/** Guard: the same for a copy into r0 (`mov gr0 = y`). */
+TEST(ClassicalRegression, CopyIntoR0IsNotPropagated)
+{
+    Program p;
+    IRBuilder b(p);
+    Function *callee = b.beginFunction("callee", 2);
+    Reg n = b.param(0), y = b.param(1);
+    b.movTo(kGrZero, y);
+    b.ret(b.add(n, kGrZero));
+    Function *f = b.beginFunction("main", 0);
+    b.ret(b.call(callee, {b.movi(5), b.movi(9)}));
+    p.entry_func = f->id;
+    expectRungsMatchSource(p, 5);
+}
+
+/**
+ * Guard: an expression computed into r0 is not available there, so CSE
+ * must not replace a later `add y = a, b` with a copy of r0.
+ */
+TEST(ClassicalRegression, ExpressionComputedIntoR0IsNotReused)
+{
+    Program p;
+    IRBuilder b(p);
+    Function *callee = b.beginFunction("callee", 2);
+    Reg a = b.param(0), c = b.param(1);
+    b.addTo(kGrZero, a, c);
+    b.ret(b.add(a, c));
+    Function *f = b.beginFunction("main", 0);
+    b.ret(b.call(callee, {b.movi(5), b.movi(9)}));
+    p.entry_func = f->id;
+    expectRungsMatchSource(p, 14);
+}
+
 } // namespace epic

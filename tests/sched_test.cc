@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/alias.h"
+#include "analysis/manager.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
 #include "sched/listsched.h"
@@ -33,13 +35,20 @@ runOrder(Program &p, bool scheduled)
     return r.ret_value;
 }
 
-/** Full low-level pipeline on a program: allocate + schedule. */
+/** Full low-level pipeline on every function: allocate + schedule. */
 SchedStats
 compileLowLevel(Program &p, const MachineConfig &mach = {})
 {
     AliasAnalysis aa(p, AliasLevel::Inter);
-    allocateProgram(p);
-    auto s = scheduleProgram(p, aa, mach);
+    SchedStats s;
+    for (auto &fp : p.funcs) {
+        if (!fp)
+            continue;
+        AnalysisManager ra(*fp);
+        allocateRegisters(*fp, ra);
+        AnalysisManager sched(*fp, &aa);
+        s += scheduleFunction(*fp, sched, mach);
+    }
     auto errs = verifyProgram(p);
     EXPECT_TRUE(errs.empty()) << (errs.empty() ? "" : errs[0]);
     return s;
@@ -251,7 +260,7 @@ TEST(SchedTest, CachedPackerMatchesTemplateSearchExhaustively)
     // Instruction 5k + c has FU class c, so any class sequence of up to
     // six ops is a list of distinct, ascending indices.
     const Opcode by_class[] = {Opcode::ADD, Opcode::SHL, Opcode::LD,
-                               Opcode::FADD, Opcode::BR};
+                               Opcode::MUL, Opcode::BR};
     Program p;
     IRBuilder ib(p);
     Function *f = ib.beginFunction("main", 0);
@@ -337,7 +346,8 @@ TEST(RegAllocTest, MapsVirtualsAndCountsStacked)
 {
     Program p = wideProgram();
     Function *f = p.func(0);
-    RegAllocStats s = allocateProgram(p);
+    AnalysisManager am(*f);
+    RegAllocStats s = allocateRegisters(*f, am);
     EXPECT_TRUE(f->reg_allocated);
     // A call-free function keeps everything in scratch registers.
     EXPECT_EQ(s.gr_used, 0);
@@ -370,7 +380,8 @@ TEST(RegAllocTest, HighPressureSpills)
     for (int i = 0; i < kN; ++i)
         expect += i;
 
-    RegAllocStats st = allocateProgram(p);
+    AnalysisManager am(*f);
+    RegAllocStats st = allocateRegisters(*f, am);
     EXPECT_GT(st.spilled, 0);
     EXPECT_GT(f->spill_slots, 0);
     auto errs = verifyProgram(p);
@@ -420,7 +431,8 @@ TEST(RegAllocTest, GuardedDefSpillPreservesOldValue)
     p.entry_func = f->id;
     int64_t before = runOrder(p, false);
     EXPECT_EQ(before % 10000, (7 + 99 * 100 / 2) % 10000);
-    allocateProgram(p);
+    AnalysisManager am(*f);
+    allocateRegisters(*f, am);
     EXPECT_EQ(runOrder(p, false), before);
 }
 
