@@ -2,23 +2,7 @@
  * @file
  * Command-line driver: run any workload under any configuration and
  * print the full Perfmon report — the "pfmon" of this repository.
- *
- * Usage:
- *   epiclab_run --list | --help
- *   epiclab_run <benchmark>|--all [--config GCC|O-NS|ILP-NS|ILP-CS]
- *               [--jobs N] [--pass-stats]
- *               [--json <path>] [--trace <path>]
- *               [--spec general|sentinel] [--profile-on-ref]
- *               [--no-peel] [--no-pointer-analysis] [--conservative-hb]
- *               [--inject <seed>] [--inject-rate <p>] [--inject-sim]
- *               [--deadline-ms N] [--max-instrs N] [--max-cycles N]
- *               [--max-depth N] [--max-mem-pages N] [--retries N]
- *               [--no-ladder] [--checkpoint-every N] [--resume]
- *               [--only <substr[,substr...]>]
- *               [--sample-every N] [--samples <path>]
- *               [--ear-latency-min N] [--btb-depth N] [--profile]
- *               [--sim-mode detailed|sampled]
- *               [--ff-functional M] [--detail-window W]
+ * `epiclab_run --help` lists every option.
  *
  * Fidelity mode (DESIGN.md §18): --sim-mode=sampled alternates
  * functional fast-forward phases (M ops, architected semantics only)
@@ -33,9 +17,9 @@
  * sampler whose per-category sums reconcile exactly with the end-of-run
  * Perfmon totals (declared invariants in the --json record); --samples
  * writes the epiclab.samples.v1 time-series, byte-identical for any
- * --jobs. --ear-latency-min / --btb-depth arm the event address
- * registers and branch trace buffer; --profile (single-run only)
- * prints the hot-region cycle-category breakdown.
+ * --jobs. --ear-latency-min / --branch-profile arm the event address
+ * registers and the per-branch prediction profile; --profile
+ * (single-run only) prints the hot-region cycle-category breakdown.
  *
  * The --all report is byte-identical for every --jobs value (parallel
  * results merge in workload/config order), so `--all --jobs 1` vs
@@ -86,7 +70,7 @@ usage()
     printf("usage: epiclab_run <benchmark> [options]\n"
            "       epiclab_run --all [options]\n"
            "       epiclab_run --list\n"
-           "       epiclab_run --help\n\n"
+           "       epiclab_run --help | -h\n\n"
            "options:\n"
            "  --config <GCC|O-NS|ILP-NS|ILP-CS|ILP-CS-DS>\n"
            "                                      (default ILP-CS)\n"
@@ -123,14 +107,6 @@ usage()
            "demo)\n"
            "  --inject-rate <p>                   fire probability "
            "(default 1.0)\n"
-           "  --inject-analysis                   admit spurious-"
-           "invalidate\n"
-           "                                      faults into the "
-           "rotation\n"
-           "  --analysis-mode <m>                 cached|stale-check\n"
-           "                                      (default "
-           "$EPICLAB_ANALYSIS_MODE\n"
-           "                                      or cached)\n"
            "\nsupervision (any of these arms the run-supervision "
            "layer):\n"
            "  --deadline-ms <N>                   per-attempt wall "
@@ -143,8 +119,9 @@ usage()
            "skip fallback\n"
            "  --checkpoint-every <N>              sim checkpoint "
            "interval (ops)\n"
-           "  --inject-sim                        sim-layer chaos "
-           "(with --inject)\n"
+           "  --inject-sim                        sim-layer chaos (with\n"
+           "                                      --inject and "
+           "--deadline-ms)\n"
            "  --resume                            skip tasks recorded "
            "in the\n"
            "                                      <json>.manifest "
@@ -176,10 +153,9 @@ usage()
            "misses with\n"
            "                                      latency >= N cycles "
            "(EARs)\n"
-           "  --btb-depth <N>                     branch-trace-buffer "
-           "depth +\n"
-           "                                      per-branch mispredict "
-           "profile\n"
+           "  --branch-profile                    per-branch prediction/"
+           "mispredict\n"
+           "                                      profile\n"
            "  --profile                           hot-region cycle-"
            "category\n"
            "                                      report (single-run "
@@ -349,11 +325,9 @@ main(int argc, char **argv)
     RunOptions opts;
     bool with_ds = false;
     bool no_peel = false, no_ptr = false, cons_hb = false;
-    bool inject = false, inject_analysis = false, pass_stats = false;
-    bool inject_sim = false;
+    bool inject = false, inject_sim = false, pass_stats = false;
     uint64_t inject_seed = 0;
     double inject_rate = 1.0;
-    AnalysisMode analysis_mode = envAnalysisMode();
     std::string json_path, trace_path, samples_path;
     // Any supervision flag arms the fleet supervisor's policy, with the
     // flags applied on top of it.
@@ -425,8 +399,6 @@ main(int argc, char **argv)
         } else if (a == "--inject-rate") {
             inject_rate =
                 parseFloatFlag("--inject-rate", value_of(i, a), 0.0, 1.0);
-        } else if (a == "--inject-analysis") {
-            inject_analysis = true;
         } else if (a == "--inject-sim") {
             inject_sim = true;
             supervise = true;
@@ -505,16 +477,10 @@ main(int argc, char **argv)
         } else if (a == "--ear-latency-min") {
             opts.pmu.ear_latency_min = static_cast<int>(parseIntFlag(
                 "--ear-latency-min", value_of(i, a), 1, 1 << 20));
-        } else if (a == "--btb-depth") {
-            opts.pmu.btb_depth = static_cast<int>(parseIntFlag(
-                "--btb-depth", value_of(i, a), 1, 1 << 20));
+        } else if (a == "--branch-profile") {
+            opts.pmu.branch_profile = true;
         } else if (a == "--profile") {
             opts.pmu.regions = true;
-        } else if (a == "--analysis-mode") {
-            std::string m = value_of(i, a);
-            if (!parseAnalysisMode(m, &analysis_mode))
-                epic_fatal("--analysis-mode: unknown mode '", m,
-                           "' (cached|stale-check)");
         } else {
             epic_fatal("unknown option '", a, "' (see --help)");
         }
@@ -522,12 +488,14 @@ main(int argc, char **argv)
     if (supervise)
         opts.supervision = sup;
     FaultInjector injector(inject_seed, inject_rate);
-    if (inject_analysis)
-        injector.enableAnalysisFaults(true);
     if (inject_sim) {
         if (!inject)
             epic_fatal("--inject-sim needs --inject <seed> for the "
                        "deterministic fault plan");
+        if (sup.deadline_ms == 0)
+            epic_fatal("--inject-sim needs --deadline-ms <N>: an "
+                       "injected hang stalls its task until a deadline "
+                       "reclaims it");
         injector.enableSimFaults(true);
         opts.sim_inject = &injector;
     }
@@ -539,7 +507,6 @@ main(int argc, char **argv)
             o.enable_pointer_analysis = false;
         if (cons_hb)
             o.hb_opts.conservative = true;
-        o.analysis_mode = analysis_mode;
         o.firewall.inject = inj;
     };
 

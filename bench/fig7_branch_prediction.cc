@@ -48,9 +48,9 @@ main(int argc, char **argv)
     const std::vector<Config> configs = {Config::ONS, Config::IlpNs,
                                          Config::IlpCs};
     RunOptions opts;
-    // Arm the branch trace buffer: the per-branch profile is the data
-    // source for the prediction columns and the hot-site report.
-    opts.pmu.btb_depth = 16;
+    // The per-branch profile is the data source for the prediction
+    // columns and the hot-site report.
+    opts.pmu.branch_profile = true;
     Table t({"Benchmark", "config", "branches", "predictions",
              "mispredicts", "rate"});
     std::vector<double> branch_reduction, flush_reduction;

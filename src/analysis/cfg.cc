@@ -144,18 +144,4 @@ Cfg::Cfg(const Function &f, Arena *arena) : f_(&f)
         rpo_[i] = post[post_len - 1 - i];
 }
 
-int
-pruneUnreachableBlocks(Function &f)
-{
-    Cfg cfg(f);
-    int removed = 0;
-    for (int bid = 0; bid < static_cast<int>(f.blocks.size()); ++bid) {
-        if (f.block(bid) && !cfg.reachable(bid)) {
-            f.eraseBlock(bid);
-            ++removed;
-        }
-    }
-    return removed;
-}
-
 } // namespace epic

@@ -123,12 +123,6 @@ class Cfg
     uint8_t *reach_ = nullptr;
 };
 
-/**
- * Remove blocks unreachable from the entry (they arise naturally from
- * region formation). Returns the number removed.
- */
-int pruneUnreachableBlocks(Function &f);
-
 } // namespace epic
 
 #endif // EPIC_ANALYSIS_CFG_H

@@ -53,7 +53,7 @@ instrDefs(const Instruction &inst, std::vector<Reg> &out)
             out.push_back(d);
 }
 
-Liveness::Liveness(const Cfg &cfg) : cfg_(&cfg)
+Liveness::Liveness(const Cfg &cfg)
 {
     const Function &f = cfg.function();
     int n = cfg.maxBlockId();
@@ -165,32 +165,6 @@ Liveness::Liveness(const Cfg &cfg) : cfg_(&cfg)
             }
         }
     }
-}
-
-RegSet
-Liveness::liveBefore(int bid, int idx) const
-{
-    const BasicBlock *b = cfg_->function().block(bid);
-    RegSet live = live_out_[bid];
-    std::vector<Reg> uses, defs;
-    for (int i = static_cast<int>(b->instrs.size()) - 1; i >= idx; --i) {
-        const Instruction &inst = b->instrs[i];
-        // A side exit makes the target's live-in live here as well.
-        if (inst.isBranch() && inst.target >= 0) {
-            if (inst.target < static_cast<int>(live_in_.size()))
-                for (Reg r : live_in_[inst.target])
-                    live.insert(r);
-        }
-        if (defsAreUnconditional(inst)) {
-            instrDefs(inst, defs);
-            for (Reg r : defs)
-                live.erase(r);
-        }
-        instrUses(inst, uses);
-        for (Reg r : uses)
-            live.insert(r);
-    }
-    return live;
 }
 
 } // namespace epic

@@ -47,14 +47,7 @@ class Liveness
     const RegSet &liveIn(int bid) const { return live_in_[bid]; }
     const RegSet &liveOut(int bid) const { return live_out_[bid]; }
 
-    /**
-     * Registers live immediately *before* instruction `idx` of block
-     * `bid` (computed by walking back from live-out; O(block size)).
-     */
-    RegSet liveBefore(int bid, int idx) const;
-
   private:
-    const Cfg *cfg_;
     std::vector<RegSet> live_in_;
     std::vector<RegSet> live_out_;
 };

@@ -19,19 +19,6 @@ analysisKindName(AnalysisKind k)
     return "?";
 }
 
-bool
-parseAnalysisMode(const std::string &s, AnalysisMode *out)
-{
-    if (s == "cached") {
-        *out = AnalysisMode::Cached;
-    } else if (s == "stale-check" || s == "stalecheck") {
-        *out = AnalysisMode::StaleCheck;
-    } else {
-        return false;
-    }
-    return true;
-}
-
 AnalysisMode
 envAnalysisMode()
 {
@@ -39,12 +26,13 @@ envAnalysisMode()
         const char *e = std::getenv("EPICLAB_ANALYSIS_MODE");
         if (!e || !*e)
             return AnalysisMode::Cached;
-        AnalysisMode m;
-        if (!parseAnalysisMode(e, &m)) {
-            epic_fatal("EPICLAB_ANALYSIS_MODE: unknown mode '", e,
-                       "' (cached|stale-check)");
-        }
-        return m;
+        const std::string s = e;
+        if (s == "cached")
+            return AnalysisMode::Cached;
+        if (s == "stale-check" || s == "stalecheck")
+            return AnalysisMode::StaleCheck;
+        epic_fatal("EPICLAB_ANALYSIS_MODE: unknown mode '", s,
+                   "' (cached|stale-check)");
     }();
     return kMode;
 }
@@ -85,12 +73,6 @@ AnalysisCounters::totalInvalidations() const
     for (int64_t v : invalidations)
         t += v;
     return t;
-}
-
-bool
-AnalysisCounters::any() const
-{
-    return totalHits() || totalMisses() || totalInvalidations();
 }
 
 AnalysisCounters
@@ -381,34 +363,11 @@ AnalysisManager::dropKind(AnalysisKind k)
 void
 AnalysisManager::invalidateAll()
 {
-    // Liveness before Cfg: it points into the cached Cfg.
     dropKind(AnalysisKind::Liveness);
     dropKind(AnalysisKind::Loops);
     dropKind(AnalysisKind::Dom);
     dropKind(AnalysisKind::Cfg);
     dropKind(AnalysisKind::PredRel);
-}
-
-void
-AnalysisManager::invalidate(AnalysisKind k)
-{
-    switch (k) {
-      case AnalysisKind::Cfg:
-        dropKind(AnalysisKind::Liveness);
-        dropKind(AnalysisKind::Loops);
-        dropKind(AnalysisKind::Dom);
-        dropKind(AnalysisKind::Cfg);
-        break;
-      case AnalysisKind::Dom:
-        dropKind(AnalysisKind::Loops);
-        dropKind(AnalysisKind::Dom);
-        break;
-      case AnalysisKind::Liveness:
-      case AnalysisKind::Loops:
-      case AnalysisKind::PredRel:
-        dropKind(k);
-        break;
-    }
 }
 
 void

@@ -26,9 +26,8 @@
  *    mode. Env-gated like the firewall's paranoid re-verify:
  *    EPICLAB_ANALYSIS_MODE=stale-check.
  *
- * Invalidation cascades along dependence: dropping Cfg drops DomTree,
- * Liveness and LoopForest too (Liveness additionally *cannot* outlive
- * the Cfg it holds a pointer into); dropping DomTree drops LoopForest.
+ * One rule cascades: Liveness is computed over the Cfg's edges, so
+ * dropping Cfg drops Liveness too.
  */
 #ifndef EPIC_ANALYSIS_MANAGER_H
 #define EPIC_ANALYSIS_MANAGER_H
@@ -101,12 +100,10 @@ enum class AnalysisMode {
     StaleCheck,
 };
 
-/** Parse "cached" / "stale-check"; false on garbage. */
-bool parseAnalysisMode(const std::string &s, AnalysisMode *out);
-
 /**
- * Process-wide default mode from EPICLAB_ANALYSIS_MODE (read once);
- * Cached when unset, fatal on an unknown value.
+ * Process-wide default mode from EPICLAB_ANALYSIS_MODE (read once):
+ * "cached" or "stale-check"; Cached when unset, fatal on any other
+ * value.
  */
 AnalysisMode envAnalysisMode();
 
@@ -127,7 +124,6 @@ struct AnalysisCounters
     int64_t totalHits() const;
     int64_t totalMisses() const;
     int64_t totalInvalidations() const;
-    bool any() const;
 };
 
 /** a - b, element-wise (for per-pass attribution via snapshots). */
@@ -168,12 +164,10 @@ class AnalysisManager
     // ---- Invalidation ----
     /** Drop everything (the conservative "I mutated the IR" call). */
     void invalidateAll();
-    /** Drop one kind plus everything depending on it. */
-    void invalidate(AnalysisKind k);
     /**
      * Drop every kind not in `preserved` (the pipeline's post-pass
      * call). Liveness is auto-demoted out of `preserved` when Cfg is
-     * not preserved: it holds a pointer into the cached Cfg and cannot
+     * not preserved: it is computed over the Cfg's edges and cannot
      * outlive it.
      */
     void invalidateAllExcept(AnalysisSet preserved);
@@ -226,10 +220,10 @@ class AnalysisManager
 };
 
 /**
- * Manager-aware pruneUnreachableBlocks: queries the cached Cfg and
- * invalidates only when blocks were actually removed, so a clean prune
- * leaves the cache warm for the next round. (Declared here, not in
- * cfg.h, because it needs the manager type.)
+ * Remove blocks unreachable from the entry (they arise naturally from
+ * region formation); returns the number removed. Queries the cached Cfg
+ * and invalidates only when blocks were actually removed, so a clean
+ * prune leaves the cache warm for the next round.
  */
 int pruneUnreachableBlocks(Function &f, AnalysisManager &am);
 

@@ -68,8 +68,8 @@ struct CompileOptions
     /// produces bit-identical output to jobs = 1.
     int jobs = 1;
 
-    /// Analysis-cache policy (Cached / StaleCheck).
-    /// Defaults to EPICLAB_ANALYSIS_MODE; --analysis-mode overrides.
+    /// Analysis-cache policy (Cached / StaleCheck); defaults to
+    /// EPICLAB_ANALYSIS_MODE.
     AnalysisMode analysis_mode = envAnalysisMode();
 
     /// Hard budget on each function's IR arena, in the supervision

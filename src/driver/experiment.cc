@@ -111,7 +111,7 @@ manifestKey(const Workload &w, Config cfg, const RunOptions &o)
         // sampled and unsampled fleets never reuse each other's records.
         h = fnv1a("pmu:" + std::to_string(o.pmu.sample_every) + "," +
                       std::to_string(o.pmu.ear_latency_min) + "," +
-                      std::to_string(o.pmu.btb_depth) + "," +
+                      std::to_string(o.pmu.branch_profile ? 1 : 0) + "," +
                       std::to_string(o.pmu.regions ? 1 : 0),
                   h);
     }

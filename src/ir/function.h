@@ -129,9 +129,6 @@ class Function
                    : nullptr;
     }
 
-    /** Number of live (non-deleted) blocks. */
-    int liveBlockCount() const;
-
     /** Total static instruction count over live blocks. */
     int staticInstrCount() const;
 

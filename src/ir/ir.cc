@@ -109,16 +109,6 @@ BasicBlock::successorIds() const
 }
 
 int
-Function::liveBlockCount() const
-{
-    int n = 0;
-    for (const auto &b : blocks)
-        if (b)
-            ++n;
-    return n;
-}
-
-int
 Function::staticInstrCount() const
 {
     int n = 0;
@@ -126,15 +116,6 @@ Function::staticInstrCount() const
         if (b)
             n += static_cast<int>(b->instrs.size());
     return n;
-}
-
-Function *
-Program::findFunc(const std::string &name)
-{
-    for (auto &f : funcs)
-        if (f && f->name == name)
-            return f.get();
-    return nullptr;
 }
 
 int
@@ -147,15 +128,6 @@ Program::addSymbol(std::string name, uint64_t size, uint32_t attr)
     s.attr = attr;
     symbols.push_back(std::move(s));
     return symbols.back().id;
-}
-
-int
-Program::addSymbolInit(std::string name, std::vector<uint8_t> init,
-                       uint32_t attr)
-{
-    int id = addSymbol(std::move(name), init.size(), attr);
-    symbols[id].init = std::move(init);
-    return id;
 }
 
 void

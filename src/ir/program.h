@@ -30,8 +30,7 @@ struct DataSymbol
     uint64_t size = 0;
     uint64_t align = 16;
     uint32_t attr = kSymNone;
-    std::vector<uint8_t> init; ///< initial bytes (zero-filled if shorter)
-    uint64_t addr = 0;         ///< assigned by layoutData()
+    uint64_t addr = 0; ///< assigned by layoutData()
 };
 
 /** A whole program. */
@@ -74,16 +73,9 @@ class Program
                    : nullptr;
     }
 
-    /** Look a function up by name (null if absent). */
-    Function *findFunc(const std::string &name);
-
     /** Create a zero-initialized data symbol; returns its id. */
     int addSymbol(std::string name, uint64_t size,
                   uint32_t attr = kSymNone);
-
-    /** Create an initialized data symbol; returns its id. */
-    int addSymbolInit(std::string name, std::vector<uint8_t> init,
-                      uint32_t attr = kSymNone);
 
     /** Assign data-segment addresses to all symbols. */
     void layoutData();

@@ -208,33 +208,14 @@ exprHash(const Instruction &e)
     return h;
 }
 
-/**
- * Does redefining `d` kill a CSE fact about `expr`? True when d's name
- * ("gr1") occurs in the printed key, i.e. when some source register of
- * the same class has d's decimal id as a prefix of its own. That keeps
- * the key's substring match exactly, over-kill included: defining gr1
- * also kills expressions over gr12 (DESIGN §4).
- */
+/** Does `expr` read register `d`? Redefining d kills a CSE fact about
+ *  such an expression. */
 bool
-readsPrefixOf(const Instruction &expr, Reg d)
+readsReg(const Instruction &expr, Reg d)
 {
-    for (const Operand &o : expr.srcs) {
-        if (!o.isReg())
-            continue;
-        const Reg r = o.reg;
-        if (!r.valid() || !d.valid()) {
-            if (!r.valid() && !d.valid())
-                return true; // both print as "<invalid-reg>"
-            continue;
-        }
-        if (r.cls != d.cls)
-            continue;
-        int32_t id = r.id;
-        while (id > d.id)
-            id /= 10;
-        if (id == d.id && (d.id != 0 || r.id == 0))
+    for (const Operand &o : expr.srcs)
+        if (o.isReg() && o.reg == d)
             return true;
-    }
     return false;
 }
 
@@ -248,26 +229,15 @@ nameBit(RegClass cls, int32_t id)
     return 1ull << ((name * 0x9e3779b97f4a7c15ull) >> 58);
 }
 
-/**
- * Filter for readsPrefixOf(): the nameBit() of every decimal prefix of
- * every source register, so readsPrefixOf(expr, d) implies that d's bit
- * is set.
- */
+/** Filter for readsReg(): the nameBit() of every source register, so
+ *  readsReg(expr, d) implies that d's bit is set. */
 uint64_t
-namePrefixBits(const Instruction &expr)
+nameBits(const Instruction &expr)
 {
     uint64_t bits = 0;
-    for (const Operand &o : expr.srcs) {
-        if (!o.isReg())
-            continue;
-        if (!o.reg.valid())
-            return ~0ull;
-        for (int32_t id = o.reg.id;; id /= 10) {
-            bits |= nameBit(o.reg.cls, id);
-            if (id < 10)
-                break;
-        }
-    }
+    for (const Operand &o : expr.srcs)
+        if (o.isReg())
+            bits |= nameBit(o.reg.cls, o.reg.id);
     return bits;
 }
 
@@ -561,10 +531,10 @@ localCse(Function &f, const AliasAnalysis &aa)
         return nullptr;
     };
     auto kill = [&](Reg d) {
-        const uint64_t bit = d.valid() ? nameBit(d.cls, d.id) : ~0ull;
+        const uint64_t bit = nameBit(d.cls, d.id);
         auto stale = [&](const Avail &a) {
             return a.value == d ||
-                   ((a.names & bit) && readsPrefixOf(out[a.at], d));
+                   ((a.names & bit) && readsReg(out[a.at], d));
         };
         std::erase_if(avail, stale);
         std::erase_if(loads, stale);
@@ -624,11 +594,11 @@ localCse(Function &f, const AliasAnalysis &aa)
             if (table && inst.dests[0] != kGrZero) {
                 bool self_ref = false;
                 for (const Reg &d : inst.dests)
-                    self_ref = self_ref || readsPrefixOf(inst, d);
+                    self_ref = self_ref || readsReg(inst, d);
                 if (!self_ref)
                     table->push_back(
                         Avail{inst.dests[0], static_cast<uint32_t>(out.size()),
-                              hash, namePrefixBits(inst)});
+                              hash, nameBits(inst)});
             }
             out.push_back(inst);
         }

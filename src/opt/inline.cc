@@ -1,6 +1,5 @@
 #include "opt/inline.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "analysis/cfg.h"
@@ -71,8 +70,11 @@ inlineCallsite(Program &prog, Function &caller, int bid, int idx)
     for (int c = 0; c < kNumRegClasses; ++c) {
         auto cls = static_cast<RegClass>(c);
         offs[c] = caller.virtLimit(cls);
-        int needed = callee->virtLimit(cls) - kFirstVirtual;
-        caller.reserveVirt(cls, offs[c] + std::max(needed, 0));
+        // Remapped ids run from offs[c] to offs[c] + needed - 1, and
+        // reserveVirt is inclusive.
+        const int needed = callee->virtLimit(cls) - kFirstVirtual;
+        if (needed > 0)
+            caller.reserveVirt(cls, offs[c] + needed - 1);
     }
 
     // Continuation block receives everything after the call.

@@ -22,13 +22,11 @@ Memory::lookupPageSlow(uint64_t pn) const
 }
 
 uint8_t *
-Memory::pageFor(uint64_t addr, bool create)
+Memory::pageFor(uint64_t addr)
 {
     const uint64_t pn = addr >> kPageBits;
     if (uint8_t *p = lookupPage(pn))
         return p;
-    if (!create)
-        return nullptr;
     auto page = std::make_unique<uint8_t[]>(kPageSize);
     std::memset(page.get(), 0, kPageSize);
     uint8_t *raw = page.get();
@@ -40,58 +38,13 @@ Memory::pageFor(uint64_t addr, bool create)
     return raw;
 }
 
-const uint8_t *
-Memory::pageForRead(uint64_t addr) const
-{
-    return lookupPage(addr >> kPageBits);
-}
-
 void
 Memory::mapRange(uint64_t addr, uint64_t size)
 {
     uint64_t first = addr >> kPageBits;
     uint64_t last = (addr + (size ? size - 1 : 0)) >> kPageBits;
     for (uint64_t pn = first; pn <= last; ++pn)
-        pageFor(pn << kPageBits, true);
-}
-
-uint64_t
-Memory::read(uint64_t addr, int size) const
-{
-    epic_assert(size == 1 || size == 2 || size == 4 || size == 8,
-                "bad access size ", size);
-    uint64_t v = 0;
-    if ((addr & kPageMask) + size <= kPageSize) {
-        const uint8_t *p = pageForRead(addr);
-        epic_assert(p, "read from unmapped address 0x", std::hex, addr);
-        std::memcpy(&v, p + (addr & kPageMask), size);
-        return v;
-    }
-    for (int i = 0; i < size; ++i) {
-        const uint8_t *p = pageForRead(addr + i);
-        epic_assert(p, "read from unmapped address");
-        v |= static_cast<uint64_t>(p[(addr + i) & kPageMask]) << (8 * i);
-    }
-    return v;
-}
-
-void
-Memory::write(uint64_t addr, uint64_t value, int size)
-{
-    epic_assert(size == 1 || size == 2 || size == 4 || size == 8,
-                "bad access size ", size);
-    if ((addr & kPageMask) + size <= kPageSize) {
-        uint8_t *p = pageFor(addr, false);
-        epic_assert(p, "write to unmapped address 0x", std::hex, addr);
-        std::memcpy(p + (addr & kPageMask), &value, size);
-        return;
-    }
-    for (int i = 0; i < size; ++i) {
-        uint8_t *p = pageFor(addr + i, false);
-        epic_assert(p, "write to unmapped address");
-        p[(addr + i) & kPageMask] =
-            static_cast<uint8_t>(value >> (8 * i));
-    }
+        pageFor(pn << kPageBits);
 }
 
 bool
@@ -128,7 +81,7 @@ Memory::writeBytes(uint64_t addr, const uint8_t *data, uint64_t len)
 {
     // One page lookup + memcpy per covered page, not per byte.
     while (len > 0) {
-        uint8_t *p = pageFor(addr, true);
+        uint8_t *p = pageFor(addr);
         const uint64_t off = addr & kPageMask;
         const uint64_t chunk = std::min(len, kPageSize - off);
         std::memcpy(p + off, data, chunk);
@@ -159,11 +112,8 @@ Memory::flipBit(uint64_t sel)
 void
 Memory::initFromProgram(const Program &prog)
 {
-    for (const DataSymbol &s : prog.symbols) {
+    for (const DataSymbol &s : prog.symbols)
         mapRange(s.addr, std::max<uint64_t>(s.size, 1));
-        if (!s.init.empty())
-            writeBytes(s.addr, s.init.data(), s.init.size());
-    }
     mapRange(Program::kStackTop - Program::kStackSize, Program::kStackSize);
 }
 

@@ -58,20 +58,11 @@ class Memory
     }
 
     /**
-     * Read `size` (1/2/4/8) bytes, little-endian, zero-extended.
-     * All covered pages must be mapped.
-     */
-    uint64_t read(uint64_t addr, int size) const;
-
-    /** Write the low `size` bytes of value. Pages must be mapped. */
-    void write(uint64_t addr, uint64_t value, int size);
-
-    /**
-     * Single-lookup read used by the exec core: reads `size` bytes into
-     * `out` and returns true, or returns false (leaving `out` untouched)
-     * when any covered page is unmapped. Replaces the isMapped() +
-     * read() double lookup on the load hot path. Header-inline so the
-     * page-cache hit path folds into the simulator loops.
+     * Read `size` (1/2/4/8) bytes, little-endian, zero-extended, into
+     * `out` and return true; or return false (leaving `out` untouched)
+     * when any covered page is unmapped. One page lookup on the load
+     * hot path; header-inline so the page-cache hit path folds into the
+     * simulator loops.
      */
     bool
     tryRead(uint64_t addr, int size, uint64_t &out) const
@@ -89,8 +80,8 @@ class Memory
         return tryReadCross(addr, size, out);
     }
 
-    /** Single-lookup write counterpart: false (and no memory change)
-     *  when any covered page is unmapped. */
+    /** Write the low `size` bytes of value and return true; or return
+     *  false, changing no byte, when any covered page is unmapped. */
     bool
     tryWrite(uint64_t addr, uint64_t value, int size)
     {
@@ -108,7 +99,8 @@ class Memory
     /** Bulk host-side write (maps pages on demand). */
     void writeBytes(uint64_t addr, const uint8_t *data, uint64_t len);
 
-    /** Build the initial image for a program: data symbols + stack. */
+    /** Build the initial image for a program: its data symbols
+     *  (zero-filled) and the stack. */
     void initFromProgram(const Program &prog);
 
     /** Number of mapped pages (footprint diagnostics + heap budget). */
@@ -128,8 +120,8 @@ class Memory
     void loadState(CkptReader &r);
 
   private:
-    uint8_t *pageFor(uint64_t addr, bool create);
-    const uint8_t *pageForRead(uint64_t addr) const;
+    /** The page containing addr, mapped (zero-filled) on demand. */
+    uint8_t *pageFor(uint64_t addr);
 
     /** Cache-accelerated page lookup (null when unmapped). Returns a
      *  mutable pointer; const because the MRU cache is logically

@@ -1,9 +1,6 @@
 #include "sim/pmu/pmu.h"
 
-#include <algorithm>
-
 #include "sim/checkpoint.h"
-#include "support/logging.h"
 
 namespace epic {
 
@@ -71,12 +68,6 @@ PmuData::PmuData(const PmuOptions &opt) : opt_(opt)
         next_sample_at_ = stride_;
         samples_.reserve(kMaxSamples);
     }
-    if (opt_.ear_latency_min != 0) {
-        dear_ring_.reserve(kEarRingDepth);
-        iear_ring_.reserve(kEarRingDepth);
-    }
-    if (opt_.btb_depth != 0)
-        btb_ring_.reserve(static_cast<size_t>(opt_.btb_depth));
 }
 
 void
@@ -168,64 +159,24 @@ PmuData::sampledCounter(int c) const
 }
 
 void
-PmuData::recordDear(int fid, int bid, uint64_t addr, int latency,
-                    uint32_t attrs)
+PmuData::recordEar(std::map<uint64_t, EarSite> &sites, int fid, int bid,
+                   int latency, uint32_t attrs)
 {
-    EarSite &site = dear_sites_[key(fid, bid)];
+    EarSite &site = sites[key(fid, bid)];
     ++site.events;
     site.total_latency += static_cast<uint64_t>(latency);
     site.attr_union |= attrs;
-    site.last_addr = addr;
-    EarRecord rec{addr, fid, bid, latency, attrs};
-    if (dear_ring_.size() < kEarRingDepth)
-        dear_ring_.push_back(rec);
-    else
-        dear_ring_[dear_events_ % kEarRingDepth] = rec;
-    ++dear_events_;
 }
 
-void
-PmuData::recordIear(int fid, int bid, uint64_t line, int latency,
-                    uint32_t attrs)
+uint64_t
+PmuData::events(const std::map<uint64_t, EarSite> &sites)
 {
-    EarSite &site = iear_sites_[key(fid, bid)];
-    ++site.events;
-    site.total_latency += static_cast<uint64_t>(latency);
-    site.attr_union |= attrs;
-    site.last_addr = line;
-    EarRecord rec{line, fid, bid, latency, attrs};
-    if (iear_ring_.size() < kEarRingDepth)
-        iear_ring_.push_back(rec);
-    else
-        iear_ring_[iear_events_ % kEarRingDepth] = rec;
-    ++iear_events_;
-}
-
-namespace {
-
-/** Unroll a cyclic ring into oldest-first order. */
-template <typename T>
-std::vector<T>
-unrollRing(const std::vector<T> &ring, uint64_t pushed, size_t depth)
-{
-    std::vector<T> out;
-    out.reserve(ring.size());
-    if (pushed <= ring.size()) {
-        out = ring;
-    } else {
-        const size_t head = static_cast<size_t>(pushed % depth);
-        for (size_t i = 0; i < ring.size(); ++i)
-            out.push_back(ring[(head + i) % ring.size()]);
+    uint64_t n = 0;
+    for (const auto &[k, site] : sites) {
+        (void)k;
+        n += site.events;
     }
-    return out;
-}
-
-} // namespace
-
-std::vector<PmuData::EarRecord>
-PmuData::dearRing() const
-{
-    return unrollRing(dear_ring_, dear_events_, kEarRingDepth);
+    return n;
 }
 
 void
@@ -240,14 +191,6 @@ PmuData::recordBranch(uint64_t paddr, int fid, int bid, bool taken,
         ++site.mispredictions;
     if (taken)
         ++site.taken;
-    const size_t depth = static_cast<size_t>(opt_.btb_depth);
-    BtbRecord rec{paddr, fid, bid, static_cast<uint8_t>(taken),
-                  static_cast<uint8_t>(mispred)};
-    if (btb_ring_.size() < depth)
-        btb_ring_.push_back(rec);
-    else
-        btb_ring_[static_cast<size_t>(btb_count_ % depth)] = rec;
-    ++btb_count_;
 }
 
 PmuData::RegionCycles *
@@ -284,33 +227,10 @@ PmuData::saveState(CkptWriter &w) const
             w.u64(site.events);
             w.u64(site.total_latency);
             w.u32(site.attr_union);
-            w.u64(site.last_addr);
-        }
-    };
-    auto put_ring = [&w](const std::vector<EarRecord> &r, uint64_t n) {
-        w.u64(n);
-        w.u64(r.size());
-        for (const EarRecord &e : r) {
-            w.u64(e.addr);
-            w.i64(e.fid);
-            w.i64(e.bid);
-            w.i64(e.latency);
-            w.u32(e.attrs);
         }
     };
     put_sites(dear_sites_);
-    put_ring(dear_ring_, dear_events_);
     put_sites(iear_sites_);
-    put_ring(iear_ring_, iear_events_);
-    w.u64(btb_count_);
-    w.u64(btb_ring_.size());
-    for (const BtbRecord &b : btb_ring_) {
-        w.u64(b.paddr);
-        w.i64(b.fid);
-        w.i64(b.bid);
-        w.u8(b.taken);
-        w.u8(b.mispred);
-    }
     w.u64(branch_profile_.size());
     for (const auto &[paddr, site] : branch_profile_) {
         w.u64(paddr);
@@ -361,40 +281,11 @@ PmuData::loadState(CkptReader &r)
             site.events = r.u64();
             site.total_latency = r.u64();
             site.attr_union = r.u32();
-            site.last_addr = r.u64();
             m.emplace(k, site);
         }
     };
-    auto get_ring = [&r](std::vector<EarRecord> &ring, uint64_t &n) {
-        n = r.u64();
-        ring.clear();
-        const uint64_t sz = r.u64();
-        for (uint64_t i = 0; i < sz; ++i) {
-            EarRecord e;
-            e.addr = r.u64();
-            e.fid = static_cast<int32_t>(r.i64());
-            e.bid = static_cast<int32_t>(r.i64());
-            e.latency = static_cast<int32_t>(r.i64());
-            e.attrs = r.u32();
-            ring.push_back(e);
-        }
-    };
     get_sites(dear_sites_);
-    get_ring(dear_ring_, dear_events_);
     get_sites(iear_sites_);
-    get_ring(iear_ring_, iear_events_);
-    btb_count_ = r.u64();
-    btb_ring_.clear();
-    const uint64_t nb = r.u64();
-    for (uint64_t i = 0; i < nb; ++i) {
-        BtbRecord b;
-        b.paddr = r.u64();
-        b.fid = static_cast<int32_t>(r.i64());
-        b.bid = static_cast<int32_t>(r.i64());
-        b.taken = r.u8();
-        b.mispred = r.u8();
-        btb_ring_.push_back(b);
-    }
     branch_profile_.clear();
     const uint64_t np = r.u64();
     for (uint64_t i = 0; i < np; ++i) {
@@ -440,7 +331,7 @@ PmuData::checkReconciliation(const Perfmon &pm) const
             mismatch(std::string("interval counter ") + pmuCounterKey(c),
                      sampledCounter(c), now[static_cast<size_t>(c)]);
     }
-    if (opt_.btb_depth != 0) {
+    if (opt_.branch_profile) {
         uint64_t preds = 0, mis = 0;
         for (const auto &[paddr, site] : branch_profile_) {
             (void)paddr;
@@ -464,14 +355,6 @@ PmuData::checkReconciliation(const Perfmon &pm) const
         }
     }
     return bad;
-}
-
-void
-PmuData::verifyReconciliationOrDie(const Perfmon &pm) const
-{
-    const std::vector<std::string> bad = checkReconciliation(pm);
-    if (!bad.empty())
-        epic_panic("PMU reconciliation failed: ", bad.front());
 }
 
 } // namespace epic

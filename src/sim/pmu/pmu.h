@@ -16,13 +16,11 @@
  *    checked at artifact-dump time like PR 3's).
  *
  *  - EAR-style event address registers: D-cache and I-cache misses at
- *    or above a latency threshold are sampled with their address and
- *    attributed through the DecodedProgram back to (function, block,
- *    pass provenance) — the paper's §4.1 tail-dup/peel attribution at
- *    miss granularity.
+ *    or above a latency threshold are attributed through the
+ *    DecodedProgram back to (function, block, pass provenance) — the
+ *    paper's §4.1 tail-dup/peel attribution at miss granularity.
  *
- *  - Branch trace buffer: a ring of the most recent `btb_depth`
- *    retired predicted branches, plus a per-branch-site profile whose
+ *  - Per-branch profile: per-branch-site prediction counts whose
  *    prediction/misprediction sums must equal the aggregate Perfmon
  *    predictor counters (consumed by bench/fig7_branch_prediction).
  *
@@ -64,9 +62,8 @@ struct PmuOptions
     /// EAR latency threshold in cycles: D/I-cache misses whose total
     /// latency is >= this are captured (0 = EARs off).
     int ear_latency_min = 0;
-    /// Branch-trace-buffer depth in records (0 = BTB and per-branch
-    /// profile off).
-    int btb_depth = 0;
+    /// Per-branch-site prediction profile.
+    bool branch_profile = false;
     /// Per-(function, block) cycle-category attribution (--profile).
     bool regions = false;
 
@@ -74,7 +71,7 @@ struct PmuOptions
     enabled() const
     {
         return sample_every != 0 || ear_latency_min != 0 ||
-               btb_depth != 0 || regions;
+               branch_profile || regions;
     }
 };
 
@@ -120,8 +117,6 @@ class PmuData
   public:
     /// Sample-ring capacity; compaction halves occupancy when reached.
     static constexpr size_t kMaxSamples = 4096;
-    /// Raw EAR capture ring depth (aggregated sites are unbounded).
-    static constexpr size_t kEarRingDepth = 64;
 
     explicit PmuData(const PmuOptions &opt);
 
@@ -147,21 +142,17 @@ class PmuData
         uint64_t events = 0;
         uint64_t total_latency = 0;
         uint32_t attr_union = 0; ///< OR of issue-group provenance attrs
-        uint64_t last_addr = 0;
     };
-    /** One raw captured miss (most recent kEarRingDepth kept). */
-    struct EarRecord
+    void
+    recordDear(int fid, int bid, int latency, uint32_t attrs)
     {
-        uint64_t addr = 0;
-        int32_t fid = -1;
-        int32_t bid = -1;
-        int32_t latency = 0;
-        uint32_t attrs = 0;
-    };
-    void recordDear(int fid, int bid, uint64_t addr, int latency,
-                    uint32_t attrs);
-    void recordIear(int fid, int bid, uint64_t line, int latency,
-                    uint32_t attrs);
+        recordEar(dear_sites_, fid, bid, latency, attrs);
+    }
+    void
+    recordIear(int fid, int bid, int latency, uint32_t attrs)
+    {
+        recordEar(iear_sites_, fid, bid, latency, attrs);
+    }
     /// Aggregated sites keyed by (fid << 32) | bid — sorted, so every
     /// iteration (serialization, reporting) is deterministic.
     const std::map<uint64_t, EarSite> &dearSites() const
@@ -172,20 +163,11 @@ class PmuData
     {
         return iear_sites_;
     }
-    uint64_t dearEvents() const { return dear_events_; }
-    uint64_t iearEvents() const { return iear_events_; }
-    /** Raw captures, oldest first. */
-    std::vector<EarRecord> dearRing() const;
+    /** Captured misses: the sum of the sites' events. */
+    uint64_t dearEvents() const { return events(dear_sites_); }
+    uint64_t iearEvents() const { return events(iear_sites_); }
 
-    // ---- Branch trace buffer + per-branch profile ----
-    struct BtbRecord
-    {
-        uint64_t paddr = 0; ///< code address of the branch
-        int32_t fid = -1;
-        int32_t bid = -1;
-        uint8_t taken = 0;
-        uint8_t mispred = 0;
-    };
+    // ---- Per-branch profile ----
     struct BranchSite
     {
         int32_t fid = -1;
@@ -201,7 +183,6 @@ class PmuData
     {
         return branch_profile_;
     }
-    uint64_t branchRecords() const { return btb_count_; }
 
     // ---- Hot regions ----
     using RegionCycles = std::array<uint64_t, Perfmon::kNumCats>;
@@ -229,8 +210,6 @@ class PmuData
      * reconcile). Call after finish().
      */
     std::vector<std::string> checkReconciliation(const Perfmon &pm) const;
-    /** Panic (abort) on the first reconciliation violation. */
-    void verifyReconciliationOrDie(const Perfmon &pm) const;
 
     /** Sum of one cycle category over all samples taken so far. */
     uint64_t sampledCycles(CycleCat c) const;
@@ -246,6 +225,9 @@ class PmuData
         return (static_cast<uint64_t>(static_cast<uint32_t>(fid)) << 32) |
                static_cast<uint32_t>(bid);
     }
+    static void recordEar(std::map<uint64_t, EarSite> &sites, int fid,
+                          int bid, int latency, uint32_t attrs);
+    static uint64_t events(const std::map<uint64_t, EarSite> &sites);
 
     PmuOptions opt_;
 
@@ -262,12 +244,8 @@ class PmuData
 
     // EAR state.
     std::map<uint64_t, EarSite> dear_sites_, iear_sites_;
-    std::vector<EarRecord> dear_ring_, iear_ring_; ///< cyclic
-    uint64_t dear_events_ = 0, iear_events_ = 0;
 
-    // BTB state.
-    std::vector<BtbRecord> btb_ring_; ///< cyclic, opt_.btb_depth deep
-    uint64_t btb_count_ = 0;
+    // Branch-profile state.
     std::map<uint64_t, BranchSite> branch_profile_;
 
     // Region state.

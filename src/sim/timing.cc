@@ -303,7 +303,7 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
     PmuData *pmu_p = pmu.get();
     const bool pmu_ear = pmu_p && opts.pmu.ear_latency_min != 0;
     const int ear_latency_min = opts.pmu.ear_latency_min;
-    const bool pmu_btb = pmu_p && opts.pmu.btb_depth != 0;
+    const bool pmu_branches = pmu_p && opts.pmu.branch_profile;
     const bool pmu_regions = pmu_p && opts.pmu.regions;
     uint64_t pmu_next = pmu_p ? pmu_p->nextSampleAt() : ~0ull;
     // Cached hot-region attribution slot, same pattern as func_cyc:
@@ -733,8 +733,8 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                     }
                     if (__builtin_expect(pmu_ear, 0) &&
                         fr2.latency >= ear_latency_min)
-                        pmu_p->recordIear(fn->id, bb->id, line,
-                                          fr2.latency, group.attr_union);
+                        pmu_p->recordIear(fn->id, bb->id, fr2.latency,
+                                          group.attr_union);
                 }
                 fe_cost = std::max(fe_cost, fr2.latency);
             }
@@ -920,7 +920,6 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                                     mr.latency + tlb_extra >=
                                         ear_latency_min)
                                     pmu_p->recordDear(fn->id, bb->id,
-                                                      eff.addr,
                                                       mr.latency + tlb_extra,
                                                       group.attr_union);
 
@@ -1025,7 +1024,7 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                         charge(CycleCat::BrMispredFlush,
                                mach.mispredict_penalty);
                     }
-                    if (__builtin_expect(pmu_btb, 0))
+                    if (__builtin_expect(pmu_branches, 0))
                         pmu_p->recordBranch(paddr, fn->id, bb->id, taken,
                                             predicted != taken);
                 } else if (di.op == Opcode::CHK_S &&
@@ -1046,7 +1045,7 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                         charge(CycleCat::BrMispredFlush,
                                mach.mispredict_penalty);
                     }
-                    if (__builtin_expect(pmu_btb, 0))
+                    if (__builtin_expect(pmu_branches, 0))
                         pmu_p->recordBranch(paddr, fn->id, bb->id, true,
                                             ptarget != eff.callee);
                 }

@@ -172,12 +172,6 @@ FaultInjector::restrictTo(std::string function, std::string pass)
 }
 
 void
-FaultInjector::enableAnalysisFaults(bool on)
-{
-    analysis_faults_ = on;
-}
-
-void
 FaultInjector::restrictKind(FaultKind k)
 {
     has_restrict_kind_ = true;
@@ -275,10 +269,9 @@ FaultInjector::inject(Function &f, const std::string &pass,
     if (!(rng.nextDouble() < rate_))
         return -1;
 
-    // Build the kind rotation. The default 6-kind layout (and therefore
-    // every seed-derived choice made from it) is unchanged unless
-    // analysis faults were explicitly enabled or a kind was pinned.
-    FaultKind kinds[8];
+    // Build the kind rotation: the six IR corruptions, or the one
+    // pinned kind.
+    FaultKind kinds[6];
     int knum = 0;
     if (has_restrict_kind_) {
         kinds[knum++] = restrict_kind_;
@@ -289,8 +282,6 @@ FaultInjector::inject(Function &f, const std::string &pass,
         kinds[knum++] = FaultKind::RegOverflow;
         kinds[knum++] = FaultKind::SpecWild;
         kinds[knum++] = FaultKind::PassThrow;
-        if (analysis_faults_)
-            kinds[knum++] = FaultKind::SpuriousInvalidate;
     }
     int first = static_cast<int>(rng.nextBelow(knum));
 

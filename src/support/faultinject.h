@@ -23,8 +23,8 @@
  *  - PassThrow:    raise an InjectedFault from inside the pass boundary
  *    (a pass that crashes instead of producing bad code),
  *  - SpuriousInvalidate: drop every cached analysis in the pass's
- *    AnalysisManager (opt-in via enableAnalysisFaults()). This one is
- *    benign by construction — the invalidation contract says a cache
+ *    AnalysisManager (only when pinned with restrictKind()). This one
+ *    is benign by construction — the invalidation contract says a cache
  *    drop can only cost recomputation, never change results — and
  *    injecting it proves the compiler's output is independent of the
  *    invalidation schedule.
@@ -59,7 +59,7 @@ enum class FaultKind {
     SpecWild,
     PassThrow,
     /// Not an IR corruption: spuriously drops the analysis caches.
-    /// Excluded from the default rotation (enableAnalysisFaults()).
+    /// Excluded from the default rotation (pin it with restrictKind()).
     SpuriousInvalidate,
 
     // ---- Sim-layer sites (enableSimFaults(); simPlan()) ----
@@ -144,13 +144,6 @@ class FaultInjector
      */
     void restrictTo(std::string function, std::string pass);
 
-    /**
-     * Admit SpuriousInvalidate into the kind rotation. Off by default so
-     * the base corruption rotation (and every seed-derived choice in it)
-     * is unchanged for existing experiments.
-     */
-    void enableAnalysisFaults(bool on = true);
-
     /** Restrict the rotation to exactly one fault kind. */
     void restrictKind(FaultKind k);
 
@@ -203,7 +196,6 @@ class FaultInjector
     double rate_;
     std::string only_function_;
     std::string only_pass_;
-    bool analysis_faults_ = false;
     bool sim_faults_ = false;
     bool has_restrict_kind_ = false;
     FaultKind restrict_kind_ = FaultKind::BranchTarget;

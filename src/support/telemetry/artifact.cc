@@ -190,7 +190,7 @@ recordPmu(StatsRegistry &reg, const PmuData &pmu)
                    static_cast<int64_t>(pmu.iearSites().size()));
     }
 
-    if (pmu.options().btb_depth != 0) {
+    if (pmu.options().branch_profile) {
         int64_t preds = 0, mispreds = 0;
         for (const auto &[paddr, site] : pmu.branchProfile()) {
             (void)paddr;
@@ -201,8 +201,6 @@ recordPmu(StatsRegistry &reg, const PmuData &pmu)
                    static_cast<int64_t>(pmu.branchProfile().size()));
         reg.setInt("pmu.branch_profile.predictions", preds);
         reg.setInt("pmu.branch_profile.mispredictions", mispreds);
-        reg.setInt("pmu.btb.records",
-                   static_cast<int64_t>(pmu.branchRecords()));
         reg.declareSum("pmu-branch-predictions",
                        "pmu.branch_profile.predictions",
                        "sim.branch.predictions");

@@ -53,12 +53,6 @@ StatsRegistry::addSample(const std::string &path, int64_t v,
     mn.flags = mx.flags = flags;
 }
 
-bool
-StatsRegistry::has(const std::string &path) const
-{
-    return stats_.count(path) != 0;
-}
-
 int64_t
 StatsRegistry::getInt(const std::string &path) const
 {

@@ -85,21 +85,14 @@ class StatsRegistry
                    unsigned flags = kStatNone);
 
     // ---- Lookup ----
-    bool has(const std::string &path) const;
     /** Integer value at `path`; 0 when absent (like a zero counter). */
     int64_t getInt(const std::string &path) const;
-    /** All stats, canonically ordered by path. */
-    const std::map<std::string, Stat> &stats() const { return stats_; }
 
     // ---- Invariants ----
     void declareSum(const std::string &name,
                     const std::string &addend_prefix,
                     const std::string &total_path,
                     const std::string &addend_suffix = "");
-    const std::vector<SumInvariant> &invariants() const
-    {
-        return invariants_;
-    }
 
     /**
      * Check every declared invariant; returns one human-readable

@@ -10,6 +10,7 @@
 #include "analysis/dom.h"
 #include "analysis/liveness.h"
 #include "analysis/loops.h"
+#include "analysis/manager.h"
 #include "analysis/predrel.h"
 #include "ir/builder.h"
 
@@ -89,7 +90,8 @@ TEST(CfgTest, PruneUnreachable)
         dead->append(r);
     }
     const int dead_id = dead->id; // pruning frees the block
-    EXPECT_EQ(pruneUnreachableBlocks(*d.f), 1);
+    AnalysisManager am(*d.f);
+    EXPECT_EQ(pruneUnreachableBlocks(*d.f, am), 1);
     EXPECT_EQ(d.f->block(dead_id), nullptr);
 }
 
@@ -186,7 +188,7 @@ TEST(LivenessTest, DiamondResult)
     EXPECT_TRUE(live.liveOut(d.then_bb->id).count(d.result));
     // param(0) is dead after the entry compare.
     EXPECT_FALSE(live.liveIn(d.join->id).count(d.f->params[0]));
-    EXPECT_TRUE(live.liveBefore(d.entry->id, 0).count(d.f->params[0]));
+    EXPECT_TRUE(live.liveIn(d.entry->id).count(d.f->params[0]));
 }
 
 TEST(LivenessTest, GuardedDefDoesNotKill)

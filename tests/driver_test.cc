@@ -271,7 +271,10 @@ TEST(DriverTest, LibraryFunctionsStayWeak)
     Compiled cs = compileProgram(p, Config::IlpCs);
     // The library function kept basic blocks (no regions) and narrow
     // scheduling: its planned IPC must stay low.
-    Function *libc = cs.prog->findFunc("memcpyish");
+    const Function *libc = nullptr;
+    for (const auto &fn : cs.prog->funcs)
+        if (fn && fn->name == "memcpyish")
+            libc = fn.get();
     ASSERT_NE(libc, nullptr);
     for (const auto &bb : libc->blocks) {
         if (!bb)

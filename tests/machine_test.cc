@@ -98,24 +98,53 @@ TEST(PredictorTest, IndirectTargetBtb)
     EXPECT_EQ(p.predictTarget(0x500), 9);
 }
 
+/** tryRead that must succeed; returns the value read. */
+uint64_t
+mustRead(const Memory &m, uint64_t addr, int size)
+{
+    uint64_t v = 0;
+    EXPECT_TRUE(m.tryRead(addr, size, v)) << std::hex << addr;
+    return v;
+}
+
 TEST(MemoryTest, ReadWriteRoundTrip)
 {
     Memory m;
     m.mapRange(0x10000, 64);
-    m.write(0x10000, 0x1122334455667788ull, 8);
-    EXPECT_EQ(m.read(0x10000, 8), 0x1122334455667788ull);
-    EXPECT_EQ(m.read(0x10000, 4), 0x55667788ull);
-    EXPECT_EQ(m.read(0x10004, 4), 0x11223344ull);
-    EXPECT_EQ(m.read(0x10007, 1), 0x11ull);
+    ASSERT_TRUE(m.tryWrite(0x10000, 0x1122334455667788ull, 8));
+    EXPECT_EQ(mustRead(m, 0x10000, 8), 0x1122334455667788ull);
+    EXPECT_EQ(mustRead(m, 0x10000, 4), 0x55667788ull);
+    EXPECT_EQ(mustRead(m, 0x10004, 4), 0x11223344ull);
+    EXPECT_EQ(mustRead(m, 0x10007, 1), 0x11ull);
+    ASSERT_TRUE(m.tryWrite(0x10002, 0xabcd, 2));
+    EXPECT_EQ(mustRead(m, 0x10000, 8), 0x11223344abcd7788ull);
+
+    // An unmapped page: the read leaves `out` alone, the write fails.
+    uint64_t v = 42;
+    EXPECT_FALSE(m.tryRead(0x10000 + Memory::kPageSize, 8, v));
+    EXPECT_EQ(v, 42u);
+    EXPECT_FALSE(m.tryWrite(0x10000 + Memory::kPageSize, 1, 8));
 }
 
 TEST(MemoryTest, CrossPageAccess)
 {
     Memory m;
-    uint64_t boundary = Memory::kPageSize;
+    const uint64_t boundary = Memory::kPageSize;
     m.mapRange(boundary - 8, 16); // maps both pages
-    m.write(boundary - 4, 0xaabbccdd99887766ull, 8);
-    EXPECT_EQ(m.read(boundary - 4, 8), 0xaabbccdd99887766ull);
+    ASSERT_TRUE(m.tryWrite(boundary - 4, 0xaabbccdd99887766ull, 8));
+    EXPECT_EQ(mustRead(m, boundary - 4, 8), 0xaabbccdd99887766ull);
+    EXPECT_EQ(mustRead(m, boundary, 4), 0xaabbccddull);
+
+    // Only the first page mapped: an access that crosses into the
+    // second fails, and the failed write changes no byte of the first.
+    Memory h;
+    h.mapRange(boundary - 8, 8);
+    ASSERT_TRUE(h.tryWrite(boundary - 8, 0x0123456789abcdefull, 8));
+    EXPECT_FALSE(h.tryWrite(boundary - 4, 0xffffffffffffffffull, 8));
+    EXPECT_EQ(mustRead(h, boundary - 8, 8), 0x0123456789abcdefull);
+    uint64_t v = 42;
+    EXPECT_FALSE(h.tryRead(boundary - 4, 8, v));
+    EXPECT_EQ(v, 42u);
 }
 
 TEST(MemoryTest, MappedQueries)
