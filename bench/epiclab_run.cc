@@ -49,6 +49,7 @@
 #include <string>
 
 #include "driver/experiment.h"
+#include "figures.h"
 #include "support/arena.h"
 #include "support/cli.h"
 #include "support/faultinject.h"
@@ -69,13 +70,20 @@ usage()
 {
     printf("usage: epiclab_run <benchmark> [options]\n"
            "       epiclab_run --all [options]\n"
+           "       epiclab_run --figure <view[,view...]|all> [--only ...]\n"
+           "                   [--with-ds] [--jobs <N>] [--trace <path>]\n"
            "       epiclab_run --list\n"
            "       epiclab_run --help | -h\n\n"
-           "options:\n"
+           "--figure renders the paper's tables and figures (all = every\n"
+           "view; fig10 renders 255.vortex unless --only selects):\n");
+    for (const std::string &v : figureViews())
+        printf("  %s\n", v.c_str());
+    printf("\noptions:\n"
            "  --config <GCC|O-NS|ILP-NS|ILP-CS|ILP-CS-DS>\n"
            "                                      (default ILP-CS)\n"
            "  --with-ds                           add ILP-CS-DS (data\n"
-           "                                      speculation) to --all\n"
+           "                                      speculation) to --all and\n"
+           "                                      fig5_cycle_accounting\n"
            "  --alat-entries <N>                  ALAT entries "
            "(default 32)\n"
            "  --alat-assoc <N>                    ALAT associativity; 0 "
@@ -102,6 +110,8 @@ usage()
            "                                      wild speculative loads\n"
            "  --profile-on-ref                    train on the ref input\n"
            "  --no-peel --no-pointer-analysis --conservative-hb\n"
+           "                                      compile variants; the last\n"
+           "                                      is §3.5's predication\n"
            "  --inject <seed>                     corrupt IR at pass\n"
            "                                      boundaries (firewall "
            "demo)\n"
@@ -126,9 +136,9 @@ usage()
            "in the\n"
            "                                      <json>.manifest "
            "sidecar\n"
-           "  --only <substr[,substr...]>         restrict --all to "
-           "matching\n"
-           "                                      workloads\n"
+           "  --only <substr[,substr...]>         restrict --all or "
+           "--figure\n"
+           "                                      to matching workloads\n"
            "\nfidelity mode (DESIGN.md §18):\n"
            "  --sim-mode <detailed|sampled>       sampled alternates\n"
            "                                      functional fast-forward\n"
@@ -208,8 +218,8 @@ runAll(RunOptions &opts, bool supervise, const std::vector<Config> &configs,
     RunManifest manifest;
     if (supervise && !json_path.empty()) {
         const std::string mpath = json_path + ".manifest";
-        const size_t loaded = manifest.open(mpath);
-        if (opts.resume && loaded)
+        const size_t loaded = manifest.open(mpath, opts.resume);
+        if (loaded)
             fprintf(stderr,
                     "resume: %zu completed record(s) in %s\n", loaded,
                     mpath.c_str());
@@ -317,14 +327,16 @@ main(int argc, char **argv)
             printf("%-12s %s\n", w.name.c_str(), w.signature.c_str());
         return 0;
     }
-    if (mode != "--all" && mode[0] == '-')
+    const bool figure = mode == "--figure";
+    if (figure && argc < 3)
+        epic_fatal("--figure requires a value (see --help)");
+    if (!figure && mode != "--all" && mode[0] == '-')
         epic_fatal("unknown option '", mode, "' (see --help)");
 
     std::string bench = mode;
     Config cfg = Config::IlpCs;
     RunOptions opts;
     bool with_ds = false;
-    bool no_peel = false, no_ptr = false, cons_hb = false;
     bool inject = false, inject_sim = false, pass_stats = false;
     uint64_t inject_seed = 0;
     double inject_rate = 1.0;
@@ -342,8 +354,15 @@ main(int argc, char **argv)
             epic_fatal(flag, " requires a value (see --help)");
         return argv[++i];
     };
-    for (int i = 2; i < argc; ++i) {
+    const std::vector<std::string> figure_flags = {"--jobs", "--only",
+                                                   "--with-ds", "--trace"};
+    for (int i = figure ? 3 : 2; i < argc; ++i) {
         std::string a = argv[i];
+        if (figure && std::find(figure_flags.begin(), figure_flags.end(),
+                                a) == figure_flags.end())
+            epic_fatal(a, " does not apply to --figure, which renders "
+                          "the paper's fixed runs (it takes --only, "
+                          "--with-ds, --jobs and --trace)");
         if (a == "--jobs") {
             opts.jobs = static_cast<int>(
                 parseIntFlag("--jobs", value_of(i, a), 1, 4096));
@@ -387,11 +406,11 @@ main(int argc, char **argv)
         } else if (a == "--profile-on-ref") {
             opts.profile_input = InputKind::Ref;
         } else if (a == "--no-peel") {
-            no_peel = true;
+            opts.variant.no_peel = true;
         } else if (a == "--no-pointer-analysis") {
-            no_ptr = true;
+            opts.variant.no_pointer_analysis = true;
         } else if (a == "--conservative-hb") {
-            cons_hb = true;
+            opts.variant.conservative_hb = true;
         } else if (a == "--inject") {
             inject = true;
             inject_seed = static_cast<uint64_t>(parseIntFlag(
@@ -500,15 +519,8 @@ main(int argc, char **argv)
         opts.sim_inject = &injector;
     }
     FaultInjector *inj = inject ? &injector : nullptr;
-    opts.tweak = [=](CompileOptions &o) {
-        if (no_peel)
-            o.enable_peel = false;
-        if (no_ptr)
-            o.enable_pointer_analysis = false;
-        if (cons_hb)
-            o.hb_opts.conservative = true;
-        o.firewall.inject = inj;
-    };
+    if (inj)
+        opts.tweak = [inj](CompileOptions &o) { o.firewall.inject = inj; };
 
     if (opts.resume && json_path.empty())
         epic_fatal("--resume needs --json <path> (the manifest lives "
@@ -553,6 +565,8 @@ main(int argc, char **argv)
         return rc;
     };
 
+    if (figure)
+        return finish(renderFigures(argv[2], opts.only, with_ds, opts.jobs));
     if (bench == "--all") {
         // The legacy four-configuration sweep is the byte-stable
         // artifact contract; ILP-CS-DS rides along only on request.

@@ -4,7 +4,7 @@
 #
 # Usage: scripts/unused_code.sh
 #
-# Builds the main tree (tests, harnesses, examples) and perfbench/ at -O0
+# Builds the main tree (tests, bench/, examples) and perfbench/ at -O0
 # with one section per function, linking every executable with
 # --gc-sections, so each executable keeps only the functions it can
 # reach. Over that one build it makes two passes:
@@ -12,8 +12,8 @@
 #  1. An epic:: function defined in libepiclab.a that no executable
 #     keeps has no caller in the product, its tests or its benchmark.
 #  2. A function that the test binaries keep but no product executable
-#     (epiclab_run, the harnesses and micro-benchmarks under bench/, the
-#     examples, perfbench) keeps is test-only. It must be listed, with a
+#     (epiclab_run and the micro-benchmarks under bench/, the examples,
+#     perfbench) keeps is test-only. It must be listed, with a
 #     one-line reason, in scripts/unused_code.allow; an allowlist entry
 #     that is not test-only is stale.
 #

@@ -13,6 +13,21 @@
 
 namespace epic {
 
+void
+CompileVariant::apply(CompileOptions &o) const
+{
+    if (no_peel)
+        o.enable_peel = false;
+    if (no_pointer_analysis)
+        o.enable_pointer_analysis = false;
+    if (conservative_hb) {
+        o.hb_opts.conservative = true;
+        o.sb_opts.allow_tail_dup = false;
+        o.enable_peel = false;
+    }
+    o.inline_opts.growth_budget = inline_budget;
+}
+
 const std::vector<Config> &
 standardConfigs()
 {
@@ -93,8 +108,8 @@ stopped()
  * Manifest key for one (workload x config) task: human-readable prefix
  * plus a fingerprint of everything that determines the record bytes —
  * the workload's content signature, the configuration, the input/spec
- * model choices and the artifact schema version. A record is only
- * reused when all of them match.
+ * model choices, the compile variant and the artifact schema version.
+ * A record is only reused when all of them match.
  */
 std::string
 manifestKey(const Workload &w, Config cfg, const RunOptions &o)
@@ -120,6 +135,16 @@ manifestKey(const Workload &w, Config cfg, const RunOptions &o)
         // a resumed fleet reuse a detailed record or vice versa.
         h = fnv1a("sampled:" + std::to_string(o.ff_functional) + "," +
                       std::to_string(o.detail_window),
+                  h);
+    }
+    if (o.variant != CompileVariant{}) {
+        // A compile variant changes the compiled code. The default
+        // variant adds nothing, so default fleets keep their keys.
+        const CompileVariant &v = o.variant;
+        h = fnv1a("variant:" + std::to_string(v.no_peel) + "," +
+                      std::to_string(v.no_pointer_analysis) + "," +
+                      std::to_string(v.conservative_hb) + "," +
+                      std::to_string(v.inline_budget),
                   h);
     }
     if (o.alat_entries || o.alat_assoc) {
@@ -332,16 +357,6 @@ superviseSim(const Workload &w, Config cfg, const RunOptions &opts,
 } // namespace
 
 ProfiledSource
-profileSource(const Workload &w, InputKind input)
-{
-    TraceSpan span("experiment.phase", phaseLabel("build+profile", w));
-    ProfiledSource out;
-    out.profile_input = input;
-    profileInto(w, buildSource(w), input, out);
-    return out;
-}
-
-ProfiledSource
 prepareWorkload(const Workload &w, const RunOptions &opts, bool profile)
 {
     ProfiledSource out;
@@ -391,6 +406,7 @@ runConfig(const Workload &w, const ProfiledSource &src, Config cfg,
     copts.jobs = opts.jobs;
     // --max-mem-pages covers compile-side arenas like sim heap pages.
     copts.max_arena_pages = opts.supervision.max_mem_pages;
+    opts.variant.apply(copts);
     if (opts.tweak)
         opts.tweak(copts);
     Compiled c;
@@ -419,24 +435,21 @@ runConfig(const Workload &w, const ProfiledSource &src, Config cfg,
 ConfigRun
 runConfig(const Workload &w, Config cfg, const RunOptions &opts)
 {
-    return runConfig(w, profileSource(w, opts.profile_input), cfg, opts);
+    // Build and profile, with no source-truth run.
+    ProfiledSource src;
+    src.profile_input = opts.profile_input;
+    {
+        TraceSpan span("experiment.phase", phaseLabel("build+profile", w));
+        profileInto(w, buildSource(w), opts.profile_input, src);
+    }
+    return runConfig(w, src, cfg, opts);
 }
 
 std::vector<WorkloadRuns>
 runSuite(const std::vector<Config> &configs, const RunOptions &opts,
          const std::function<void(const WorkloadRuns &)> &progress)
 {
-    const std::vector<Workload> &all = allWorkloads();
-    // --only substring filters (suite order is preserved).
-    std::vector<const Workload *> suite;
-    for (const Workload &w : all) {
-        bool take = opts.only.empty();
-        for (const std::string &pat : opts.only)
-            if (w.name.find(pat) != std::string::npos)
-                take = true;
-        if (take)
-            suite.push_back(&w);
-    }
+    const std::vector<const Workload *> suite = selectWorkloads(opts.only);
 
     std::vector<WorkloadRuns> out(suite.size());
     // Workloads fan out over the pool; results land in suite order, so

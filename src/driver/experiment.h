@@ -1,6 +1,6 @@
 /**
  * @file
- * Experiment harness shared by every table/figure reproduction binary:
+ * Experiment layer shared by the fleet and every table/figure view:
  * build a workload, profile it on the train input, compile it under one
  * or more configurations, simulate on the ref input, and validate that
  * every configuration computes the same architected checksum as the
@@ -26,6 +26,27 @@ namespace epic {
 class FaultInjector;
 class RunManifest;
 
+/**
+ * A compile variant: the paper's ablation axes on top of a
+ * configuration's CompileOptions, as plain data that the figure views,
+ * the CLI's variant flags and the manifest key share.
+ */
+struct CompileVariant
+{
+    bool no_peel = false;             ///< Figure 3 ablation
+    bool no_pointer_analysis = false; ///< §2.2/§3.1 ablation
+    /// §3.5's predication after Choi et al. [9]: conservative
+    /// hyperblock inclusion, no tail duplication and no peeling.
+    bool conservative_hb = false;
+    /// Inlining growth budget (§3.1's empirically chosen 1.6x).
+    double inline_budget = InlineOptions{}.growth_budget;
+
+    auto operator<=>(const CompileVariant &) const = default;
+
+    /** Set this variant's knobs in a configuration's options. */
+    void apply(CompileOptions &o) const;
+};
+
 /** Options for a workload run. */
 struct RunOptions
 {
@@ -38,7 +59,10 @@ struct RunOptions
     /// merge in workload/config order, so any jobs value produces
     /// bit-identical reports to jobs = 1.
     int jobs = 1;
-    /// Hook to tweak compile options per configuration (ablations).
+    /// Compile variant applied to every configuration.
+    CompileVariant variant;
+    /// Hook to adjust compile options beyond the variant, after it is
+    /// applied: --inject's fault injector and test-only overrides.
     std::function<void(CompileOptions &)> tweak;
 
     // ---- Run supervision (support/supervision/supervise.h) ----
@@ -160,8 +184,8 @@ struct WorkloadRuns
  * A workload's source program, built once and profiled on one input.
  * Every configuration compiles from `prog` (compileProgram clones it),
  * so one instance is shared read-only by all the configurations of a
- * workload — runWorkload's fan-out, or a harness that compiles one
- * workload several ways.
+ * workload — runWorkload's fan-out, or the figure views' run pass,
+ * which compiles one workload several ways.
  */
 struct ProfiledSource
 {
@@ -178,10 +202,6 @@ struct ProfiledSource
     /// "profile run failed: ...").
     std::string error;
 };
-
-/** Build `w` and profile it on `input` (no source-truth run). */
-ProfiledSource profileSource(const Workload &w,
-                             InputKind input = InputKind::Train);
 
 /**
  * The per-workload prepare step: one build of `w` serves the

@@ -7,7 +7,7 @@
  * passRegistry(). The compilation firewall composes its gated pipeline
  * for a configuration rung with buildPipeline(); the fault-injection
  * site model enumerates the same registry through allPassBoundaries();
- * and ablation tweaks flip the same CompileOptions knobs the registry's
+ * and compile variants flip the same CompileOptions knobs the registry's
  * `enabled` predicates consult — so adding, removing or reordering a
  * pass is a one-place change that firewall, injector and benchmarks all
  * observe.

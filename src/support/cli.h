@@ -1,6 +1,6 @@
 /**
  * @file
- * Strict command-line value parsing for the harness binaries.
+ * Strict command-line value parsing for epiclab_run.
  *
  * `std::atoi`/`strtod` fallthrough turns `--jobs banana` into
  * `--jobs 0` silently; these helpers instead epic_fatal with the flag

@@ -1,8 +1,7 @@
 /**
  * @file
- * Small numeric helpers for the benchmark harnesses: geometric mean,
- * arithmetic mean, ratio formatting, and a fixed-width console table
- * printer used by every table/figure reproduction binary.
+ * Small numeric helpers for the paper's table/figure views: geometric
+ * mean, arithmetic mean and a fixed-width console table printer.
  */
 #ifndef EPIC_SUPPORT_STATS_H
 #define EPIC_SUPPORT_STATS_H
@@ -19,7 +18,7 @@ double geomean(const std::vector<double> &values);
 double mean(const std::vector<double> &values);
 
 /**
- * Fixed-width console table used by the reproduction harnesses.
+ * Fixed-width console table used by the table/figure views.
  *
  * Columns are sized to their widest cell; numeric formatting is the
  * caller's responsibility (pass preformatted strings via cell()).

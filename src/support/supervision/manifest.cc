@@ -69,11 +69,15 @@ parseManifestLine(const std::string &line, std::string *key,
 } // namespace
 
 size_t
-RunManifest::open(const std::string &path)
+RunManifest::open(const std::string &path, bool resume)
 {
     std::lock_guard<std::mutex> lk(mu_);
     path_ = path;
     records_.clear();
+    if (!resume) {
+        std::remove(path.c_str()); // created again on the first record
+        return 0;
+    }
     std::ifstream in(path);
     if (!in)
         return 0; // fresh run: manifest file created on first record

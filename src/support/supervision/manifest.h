@@ -53,12 +53,14 @@ class RunManifest
 {
   public:
     /**
-     * Bind to `path` and load any records already there (resume).
-     * Unparseable lines are dropped (see durability contract above);
-     * a missing file is an empty manifest, not an error. Returns the
-     * number of records loaded.
+     * Bind to `path`. With `resume`, load the records already there:
+     * unparseable lines are dropped (see durability contract above),
+     * and a missing file is an empty manifest, not an error. Without
+     * it, start an empty manifest: an existing file is removed, so no
+     * earlier run's record outlives this run for a later resume to
+     * replay. Returns the number of records loaded.
      */
-    size_t open(const std::string &path);
+    size_t open(const std::string &path, bool resume);
 
     /** Record JSON for `key`, or nullptr if not completed. */
     const std::string *find(const std::string &key) const;

@@ -478,21 +478,6 @@ suiteArtifact(const std::vector<WorkloadRuns> &suite,
     return os.str();
 }
 
-bool
-writeSuiteArtifact(const std::string &path,
-                   const std::vector<WorkloadRuns> &suite,
-                   const std::vector<Config> &configs)
-{
-    std::vector<std::string> violations;
-    const std::string doc = suiteArtifact(suite, configs, &violations);
-    // Atomic replace: a crash mid-write leaves the previous complete
-    // artifact (or none), never a truncated one.
-    atomicWriteFileOrDie(path, doc);
-    for (const std::string &v : violations)
-        epic_warn("telemetry ", v);
-    return violations.empty();
-}
-
 std::string
 samplesArtifact(const std::vector<WorkloadRuns> &suite,
                 const std::vector<Config> &configs,

@@ -116,15 +116,6 @@ std::string suiteArtifact(const std::vector<WorkloadRuns> &suite,
                           std::vector<std::string> *violations);
 
 /**
- * Convenience for the figure/section harness binaries: write suiteArtifact
- * to `path` (fatal on I/O error) and epic_warn each invariant
- * violation. Returns true when every declared invariant held.
- */
-bool writeSuiteArtifact(const std::string &path,
-                        const std::vector<WorkloadRuns> &suite,
-                        const std::vector<Config> &configs);
-
-/**
  * The `epiclab.samples.v1` interval time-series for a suite result:
  * one JSONL line per retained sample of every PMU-enabled (workload ×
  * config) run, in the same index order as suiteArtifact — byte-identical

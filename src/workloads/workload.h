@@ -51,6 +51,13 @@ const std::vector<Workload> &allWorkloads();
 /** Lookup by (exact) name; null when absent. */
 const Workload *findWorkload(const std::string &name);
 
+/**
+ * The workloads whose name contains any of `patterns`, in suite order;
+ * the whole suite when `patterns` is empty (`--only`).
+ */
+std::vector<const Workload *>
+selectWorkloads(const std::vector<std::string> &patterns);
+
 // Individual constructors (one per translation unit).
 Workload makeGzip();
 Workload makeVpr();

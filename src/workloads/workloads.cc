@@ -37,4 +37,19 @@ findWorkload(const std::string &name)
     return nullptr;
 }
 
+std::vector<const Workload *>
+selectWorkloads(const std::vector<std::string> &patterns)
+{
+    std::vector<const Workload *> out;
+    for (const Workload &w : allWorkloads()) {
+        bool take = patterns.empty();
+        for (const std::string &pat : patterns)
+            if (w.name.find(pat) != std::string::npos)
+                take = true;
+        if (take)
+            out.push_back(&w);
+    }
+    return out;
+}
+
 } // namespace epic

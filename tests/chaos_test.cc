@@ -252,7 +252,7 @@ TEST(ChaosTest, ResumedSuiteArtifactIsByteIdentical)
 
     // Uninterrupted reference run, recording into the manifest.
     RunManifest m1;
-    EXPECT_EQ(m1.open(mpath), 0u);
+    EXPECT_EQ(m1.open(mpath, /*resume=*/false), 0u);
     opts.manifest = &m1;
     auto suite1 = runSuite(configs, opts);
     ASSERT_EQ(suite1.size(), 1u);
@@ -262,7 +262,7 @@ TEST(ChaosTest, ResumedSuiteArtifactIsByteIdentical)
     // Resume against the same manifest: every task is replayed from
     // its durable record — nothing re-runs, bytes are identical.
     RunManifest m2;
-    EXPECT_EQ(m2.open(mpath), configs.size());
+    EXPECT_EQ(m2.open(mpath, /*resume=*/true), configs.size());
     opts.manifest = &m2;
     opts.resume = true;
     auto suite2 = runSuite(configs, opts);
@@ -280,7 +280,7 @@ TEST(ChaosTest, ResumeProfilesOnlyWorkloadsWithTasksLeft)
     RunOptions opts = supervisedOpts();
     opts.only = {"gzip"};
     RunManifest m1;
-    m1.open(mpath);
+    m1.open(mpath, /*resume=*/false);
     opts.manifest = &m1;
     runSuite({Config::Gcc, Config::ONS}, opts);
     ASSERT_EQ(m1.size(), 2u);
@@ -288,7 +288,7 @@ TEST(ChaosTest, ResumeProfilesOnlyWorkloadsWithTasksLeft)
     // Resume under `configs`: how many profile runs did it pay?
     auto profileRuns = [&](const std::vector<Config> &configs) {
         RunManifest m;
-        EXPECT_GE(m.open(mpath), 2u);
+        EXPECT_GE(m.open(mpath, /*resume=*/true), 2u);
         RunOptions ropts = opts;
         ropts.manifest = &m;
         ropts.resume = true;
@@ -322,7 +322,7 @@ TEST(ChaosTest, ResumeIgnoresRecordsFromDifferentRunConfiguration)
     RunOptions opts = supervisedOpts();
     opts.only = {"gzip"};
     RunManifest m1;
-    m1.open(mpath);
+    m1.open(mpath, /*resume=*/false);
     opts.manifest = &m1;
     runSuite({Config::Gcc}, opts);
     EXPECT_EQ(m1.size(), 1u);
@@ -334,7 +334,7 @@ TEST(ChaosTest, ResumeIgnoresRecordsFromDifferentRunConfiguration)
     opts2.only = {"gzip"};
     opts2.deferral = DeferralPolicy::Sentinel;
     RunManifest m2;
-    EXPECT_EQ(m2.open(mpath), 1u);
+    EXPECT_EQ(m2.open(mpath, /*resume=*/true), 1u);
     opts2.manifest = &m2;
     opts2.resume = true;
     auto suite = runSuite({Config::Gcc}, opts2);
@@ -343,6 +343,41 @@ TEST(ChaosTest, ResumeIgnoresRecordsFromDifferentRunConfiguration)
     EXPECT_FALSE(cr.resumed);
     EXPECT_TRUE(cr.ok) << cr.error;
     EXPECT_EQ(m2.size(), 2u); // the rerun appended under its own key
+}
+
+TEST(ChaosTest, ResumeRerunsTasksOfAnotherCompileVariant)
+{
+    CompileVariant no_peel, no_pa, cons, budget;
+    no_peel.no_peel = true;
+    no_pa.no_pointer_analysis = true;
+    cons.conservative_hb = true;
+    budget.inline_budget = 1.0;
+    for (const CompileVariant &v : {no_peel, no_pa, cons, budget}) {
+        const std::string mpath = tempDir() + "/fleet.manifest";
+        RunOptions opts = supervisedOpts();
+        opts.only = {"gzip"};
+        opts.variant = v;
+        RunManifest m1;
+        m1.open(mpath, /*resume=*/false);
+        opts.manifest = &m1;
+        runSuite({Config::Gcc}, opts);
+        EXPECT_EQ(m1.size(), 1u);
+
+        // The default variant resumes from that manifest: the variant's
+        // record must not stand in for the default run's.
+        RunOptions opts2 = supervisedOpts();
+        opts2.only = {"gzip"};
+        RunManifest m2;
+        EXPECT_EQ(m2.open(mpath, /*resume=*/true), 1u);
+        opts2.manifest = &m2;
+        opts2.resume = true;
+        auto suite = runSuite({Config::Gcc}, opts2);
+        ASSERT_EQ(suite.size(), 1u);
+        const ConfigRun &cr = suite[0].by_config.at(Config::Gcc);
+        EXPECT_FALSE(cr.resumed);
+        EXPECT_TRUE(cr.ok) << cr.error;
+        EXPECT_EQ(m2.size(), 2u);
+    }
 }
 
 TEST(ChaosTest, StopRequestSkipsRemainingTasksWithStructuredError)

@@ -352,7 +352,7 @@ TEST(PipelineTest, SharedSourceProfiledOnAnotherInputDies)
 {
     const Workload *w = findWorkload("164.gzip");
     ASSERT_NE(w, nullptr);
-    const ProfiledSource src = profileSource(*w, InputKind::Train);
+    const ProfiledSource src = prepareWorkload(*w, RunOptions{});
     ASSERT_NE(src.prog, nullptr) << src.error;
     RunOptions opts;
     opts.profile_input = InputKind::Ref;

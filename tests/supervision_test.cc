@@ -445,7 +445,7 @@ TEST(SupervisionTest, ManifestToleratesTornLastLine)
     const std::string path = dir + "/run.manifest";
     {
         RunManifest m;
-        EXPECT_EQ(m.open(path), 0u); // missing file = empty manifest
+        EXPECT_EQ(m.open(path, /*resume=*/true), 0u); // missing file = empty
         m.record("k1", "{\"ok\":true,\"checksum\":1}");
         m.record("k2", "{\"ok\":true,\"checksum\":2}");
         EXPECT_EQ(m.size(), 2u);
@@ -457,18 +457,39 @@ TEST(SupervisionTest, ManifestToleratesTornLastLine)
         out << "{\"schema\":\"epiclab.manifest.v1\",\"key\":\"k3\",\"rec";
     }
     RunManifest m2;
-    EXPECT_EQ(m2.open(path), 2u); // torn line dropped, durable kept
+    EXPECT_EQ(m2.open(path, /*resume=*/true), 2u); // torn line dropped
     ASSERT_NE(m2.find("k1"), nullptr);
     EXPECT_EQ(*m2.find("k1"), "{\"ok\":true,\"checksum\":1}");
     ASSERT_NE(m2.find("k2"), nullptr);
     EXPECT_EQ(m2.find("k3"), nullptr);
 }
 
+TEST(SupervisionTest, ManifestWithoutResumeStartsEmpty)
+{
+    const std::string dir = tempDir();
+    const std::string path = dir + "/run.manifest";
+    {
+        RunManifest m;
+        m.open(path, /*resume=*/false);
+        m.record("k1", "{\"ok\":true,\"checksum\":1}");
+    }
+    // A run without --resume drops the earlier run's records, so a
+    // later resume replays only what that run recorded.
+    RunManifest fresh;
+    EXPECT_EQ(fresh.open(path, /*resume=*/false), 0u);
+    EXPECT_EQ(fresh.find("k1"), nullptr);
+    fresh.record("k2", "{\"ok\":true,\"checksum\":2}");
+    RunManifest resumed;
+    EXPECT_EQ(resumed.open(path, /*resume=*/true), 1u);
+    EXPECT_EQ(resumed.find("k1"), nullptr);
+    ASSERT_NE(resumed.find("k2"), nullptr);
+}
+
 TEST(SupervisionTest, ManifestFirstWriteWinsAndUnknownKeyMisses)
 {
     const std::string dir = tempDir();
     RunManifest m;
-    m.open(dir + "/m.manifest");
+    m.open(dir + "/m.manifest", /*resume=*/false);
     m.record("k", "first");
     m.record("k", "second"); // resume replay: idempotent
     EXPECT_EQ(m.size(), 1u);
