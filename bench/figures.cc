@@ -100,14 +100,25 @@ RunSet::run(int jobs)
         sources_.try_emplace({k.workload, k.profile_input});
 
     // Two phases over the pool: the prepare steps, then the runs that
-    // compile from them. Each task writes only its own map node.
-    std::vector<decltype(sources_)::value_type *> preps;
-    for (auto &entry : sources_)
-        preps.push_back(&entry);
+    // compile from them. A workload's prepare step makes one
+    // source-truth run and one profile run per profile input its runs
+    // name. Each task writes only its own map nodes.
+    std::vector<std::vector<decltype(sources_)::value_type *>> preps;
+    for (auto &entry : sources_) {
+        if (preps.empty() ||
+            preps.back().front()->first.first != entry.first.first)
+            preps.emplace_back();
+        preps.back().push_back(&entry);
+    }
     parallelFor(jobs, static_cast<int>(preps.size()), [&](int i) {
+        const Workload &w = suite[preps[i].front()->first.first];
         RunOptions o;
-        o.profile_input = preps[i]->first.second;
-        preps[i]->second = prepareWorkload(suite[preps[i]->first.first], o);
+        o.profile_input = preps[i].front()->first.second;
+        const ProfiledSource &first = preps[i].front()->second =
+            prepareWorkload(w, o);
+        for (size_t k = 1; k < preps[i].size(); ++k)
+            preps[i][k]->second =
+                profileWorkload(w, first, preps[i][k]->first.second);
     });
 
     std::vector<decltype(runs_)::value_type *> tasks;

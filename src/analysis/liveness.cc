@@ -1,6 +1,6 @@
 #include "analysis/liveness.h"
 
-#include <unordered_map>
+#include <utility>
 
 namespace epic {
 
@@ -67,100 +67,125 @@ Liveness::Liveness(const Cfg &cfg)
     // backward walk that merges each side-exit target's live-in at the
     // exit point, rather than classic gen/kill sets.
     //
+    // Each instruction becomes one step of that walk: the side-exit
+    // target whose live-in merges at it (-1: none), then its kills and
+    // its effective uses as the ranges [kills, uses) and [uses, end) of
+    // `regs`. The steps of rpo[ri] are [first_step[ri],
+    // first_step[ri + 1]).
+    struct Step
+    {
+        int target;
+        uint32_t kills, uses, end;
+    };
+    const auto &rpo = cfg.rpo();
+    std::vector<Step> steps;
+    std::vector<Reg> regs;
+    std::vector<uint32_t> first_step(rpo.size() + 1, 0);
+
     // Predicate-aware refinement (cf. the paper's references [27][28]):
     // a use guarded by p that follows a def of the same register also
     // guarded by p is *not* upward-exposed — whenever the use executes,
     // the def executed too. The fact is invalidated if the predicate
     // register is redefined in between. Precomputed forward, consumed by
     // the backward walk as "effective uses".
-    std::vector<std::vector<std::vector<Reg>>> eff_uses(n);
+    //
+    // Facts are dense by register: the guard of the register's latest
+    // guarded def and the step (1-based) that made it. A fact holds
+    // while it is newer than the block's first step and than the
+    // latest redefinition of its guard; an unconditional def retracts
+    // it. A fact never made has `at` 0 and names no guard, so the
+    // block test comes first. A side exit invalidates nothing (facts
+    // are per-path prefixes, which the exit shares).
+    struct Fact
+    {
+        Reg guard;
+        uint32_t at = 0;
+    };
+    std::array<std::vector<Fact>, kNumRegClasses> facts;
+    // Pr id -> step of its latest def; covers the guard of every fact.
+    std::vector<uint32_t> pred_def_at;
+    auto grow = [](auto &v, int32_t id) -> auto & {
+        if (static_cast<size_t>(id) >= v.size())
+            v.resize(id + 1);
+        return v[id];
+    };
     std::vector<Reg> uses, defs;
-    for (int bid : cfg.rpo()) {
-        const BasicBlock *b = f.block(bid);
-        auto &block_uses = eff_uses[bid];
-        block_uses.resize(b->instrs.size());
-        std::unordered_map<Reg, Reg> kill_guard; // reg -> def's guard
-        RegSet killed;
-        for (size_t i = 0; i < b->instrs.size(); ++i) {
-            const Instruction &inst = b->instrs[i];
+    for (size_t ri = 0; ri < rpo.size(); ++ri) {
+        const BasicBlock *b = f.block(rpo[ri]);
+        const uint32_t begin = static_cast<uint32_t>(steps.size());
+        for (const Instruction &inst : b->instrs) {
+            const uint32_t at = static_cast<uint32_t>(steps.size()) + 1;
+            Step st;
+            st.target = inst.isBranch() && inst.target >= 0 &&
+                                cfg.reachable(inst.target)
+                            ? inst.target
+                            : -1;
+            instrDefs(inst, defs);
+            const bool kills = defsAreUnconditional(inst);
+            st.kills = static_cast<uint32_t>(regs.size());
+            if (kills)
+                regs.insert(regs.end(), defs.begin(), defs.end());
+            st.uses = static_cast<uint32_t>(regs.size());
             instrUses(inst, uses);
             for (Reg r : uses) {
-                auto it = kill_guard.find(r);
-                if (!killed.count(r) && it != kill_guard.end() &&
-                    it->second == inst.guard) {
-                    continue; // covered by a same-predicate def
+                const std::vector<Fact> &v = facts[static_cast<int>(r.cls)];
+                if (static_cast<size_t>(r.id) < v.size()) {
+                    const Fact &fa = v[r.id];
+                    if (fa.at > begin && fa.at > pred_def_at[fa.guard.id] &&
+                        fa.guard == inst.guard)
+                        continue; // covered by a same-predicate def
                 }
-                block_uses[i].push_back(r);
+                regs.push_back(r);
             }
-            instrDefs(inst, defs);
-            if (defsAreUnconditional(inst)) {
-                for (Reg r : defs) {
-                    killed.insert(r);
-                    kill_guard.erase(r);
-                }
+            st.end = static_cast<uint32_t>(regs.size());
+            steps.push_back(st);
+
+            if (kills) {
+                for (Reg r : defs)
+                    grow(facts[static_cast<int>(r.cls)], r.id).at = 0;
             } else if (inst.guard != kPrTrue) {
-                for (Reg r : defs) {
-                    kill_guard[r] = inst.guard;
-                    killed.erase(r);
-                }
+                grow(pred_def_at, inst.guard.id);
+                for (Reg r : defs)
+                    grow(facts[static_cast<int>(r.cls)], r.id) =
+                        Fact{inst.guard, at};
             }
-            // Redefining a predicate invalidates facts guarded by it,
-            // and a side exit invalidates nothing (facts are per-path
-            // prefixes, which the exit shares).
-            for (Reg r : defs) {
-                if (r.cls != RegClass::Pr)
-                    continue;
-                for (auto it = kill_guard.begin();
-                     it != kill_guard.end();) {
-                    if (it->second == r)
-                        it = kill_guard.erase(it);
-                    else
-                        ++it;
-                }
-            }
+            // Redefining a predicate invalidates facts guarded by it.
+            for (Reg r : defs)
+                if (r.cls == RegClass::Pr)
+                    grow(pred_def_at, r.id) = at;
         }
+        first_step[ri + 1] = static_cast<uint32_t>(steps.size());
     }
 
     // Iterate to fixpoint, visiting in reverse RPO for fast convergence.
-    const auto &rpo = cfg.rpo();
+    RegSet out, in;
     bool changed = true;
     while (changed) {
         changed = false;
-        for (uint32_t ri = rpo.size(); ri-- > 0;) {
+        for (size_t ri = rpo.size(); ri-- > 0;) {
             int bid = rpo[ri];
-            const BasicBlock *b = f.block(bid);
             // live-out stays the conservative union over all successors
             // (its consumers — allocation extension, promotion's
             // dies-in-block test — want the superset); the backward
             // walk re-adds each side-exit contribution at the exit
             // point anyway, so live-in is computed precisely.
-            RegSet out;
-            for (int s : cfg.succs(bid)) {
-                if (!cfg.reachable(s))
-                    continue;
-                for (Reg r : live_in_[s])
-                    out.insert(r);
-            }
-            RegSet in = out;
-            for (int i = static_cast<int>(b->instrs.size()) - 1; i >= 0;
-                 --i) {
-                const Instruction &inst = b->instrs[i];
-                if (inst.isBranch() && inst.target >= 0 &&
-                    cfg.reachable(inst.target)) {
-                    for (Reg r : live_in_[inst.target])
-                        in.insert(r);
-                }
-                if (defsAreUnconditional(inst)) {
-                    instrDefs(inst, defs);
-                    for (Reg r : defs)
-                        in.erase(r);
-                }
-                for (Reg r : eff_uses[bid][i])
-                    in.insert(r);
+            out.clear();
+            for (int s : cfg.succs(bid))
+                if (cfg.reachable(s))
+                    out |= live_in_[s];
+            in = out;
+            for (uint32_t k = first_step[ri + 1]; k-- > first_step[ri];) {
+                const Step &st = steps[k];
+                if (st.target >= 0)
+                    in |= live_in_[st.target];
+                for (uint32_t j = st.kills; j < st.uses; ++j)
+                    in.erase(regs[j]);
+                for (uint32_t j = st.uses; j < st.end; ++j)
+                    in.insert(regs[j]);
             }
             if (out != live_out_[bid] || in != live_in_[bid]) {
-                live_out_[bid] = std::move(out);
-                live_in_[bid] = std::move(in);
+                std::swap(out, live_out_[bid]);
+                std::swap(in, live_in_[bid]);
                 changed = true;
             }
         }

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "sim/checkpoint.h"
+#include "sim/pmu/pmu.h"
 #include "support/faultinject.h"
 #include "support/logging.h"
 #include "support/supervision/manifest.h"
@@ -164,16 +165,15 @@ recordSaysOk(const std::string &rec)
     return rec.find("\"ok\":true") != std::string::npos;
 }
 
-/** Architected checksum carried by a stored manifest record. */
+/** Integer field `key` of a stored manifest record (0 when absent). */
 int64_t
-recordChecksum(const std::string &rec)
+recordInt(const std::string &rec, const std::string &key)
 {
-    static const char *const kTag = "\"checksum\":";
-    const size_t p = rec.find(kTag);
+    const std::string tag = "\"" + key + "\":";
+    const size_t p = rec.find(tag);
     if (p == std::string::npos)
         return 0;
-    return std::strtoll(rec.c_str() + p + std::strlen(kTag), nullptr,
-                        10);
+    return std::strtoll(rec.c_str() + p + tag.size(), nullptr, 10);
 }
 
 /** Fresh input image for the compiled program. */
@@ -194,9 +194,41 @@ resumedRun(Config cfg, const std::string &rec)
     r.resumed = true;
     r.record_json = rec;
     r.ok = recordSaysOk(rec);
-    r.checksum = recordChecksum(rec);
+    r.checksum = recordInt(rec, "checksum");
     if (!r.ok)
         r.error = "failed in a previous run (resumed manifest record)";
+    // What the fleet report prints of a run.
+    for (int c = 0; c < Perfmon::kNumCats; ++c)
+        r.pm.cycles[c] = static_cast<uint64_t>(recordInt(
+            rec, std::string("sim.cycles.") +
+                     cycleCatKey(static_cast<CycleCat>(c))));
+    r.pm.useful_ops =
+        static_cast<uint64_t>(recordInt(rec, "sim.ops.useful"));
+    r.instrs_final =
+        static_cast<int>(recordInt(rec, "compile.instrs_final"));
+    FallbackReport &fb = r.fallback;
+    fb.functions_total = static_cast<int>(
+        recordInt(rec, "firewall.functions_total"));
+    fb.functions_degraded = static_cast<int>(
+        recordInt(rec, "firewall.functions_degraded"));
+    fb.clean_retries =
+        static_cast<int>(recordInt(rec, "firewall.clean_retries"));
+    fb.faults_injected =
+        static_cast<int>(recordInt(rec, "firewall.faults.injected"));
+    fb.faults_caught =
+        static_cast<int>(recordInt(rec, "firewall.faults.caught"));
+    // Of each fallback the record keeps only the rung it attempted.
+    for (int c = 0; c <= static_cast<int>(Config::IlpCsDs); ++c) {
+        FallbackEvent e;
+        e.function = "(resumed task)";
+        e.attempted = static_cast<Config>(c);
+        e.failing_pass = "?";
+        e.error = "gate, error and landing rung not kept in the manifest";
+        const int64_t n = recordInt(
+            rec, std::string("firewall.fallback_rung.") +
+                     configName(e.attempted));
+        fb.events.insert(fb.events.end(), n, e);
+    }
     return r;
 }
 
@@ -383,6 +415,22 @@ prepareWorkload(const Workload &w, const RunOptions &opts, bool profile)
         TraceSpan span("experiment.phase", phaseLabel("profile", w));
         profileInto(w, std::move(prog), opts.profile_input, out);
     }
+    return out;
+}
+
+ProfiledSource
+profileWorkload(const Workload &w, const ProfiledSource &prepared,
+                InputKind input)
+{
+    ProfiledSource out;
+    out.profile_input = input;
+    out.source_checksum = prepared.source_checksum;
+    if (!prepared.source_checksum) {
+        out.error = prepared.error;
+        return out;
+    }
+    TraceSpan span("experiment.phase", phaseLabel("profile", w));
+    profileInto(w, buildSource(w), input, out);
     return out;
 }
 

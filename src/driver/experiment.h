@@ -213,6 +213,15 @@ ProfiledSource prepareWorkload(const Workload &w, const RunOptions &opts,
                                bool profile = true);
 
 /**
+ * Another prepared source of `w`, for profile input `input`: it shares
+ * `prepared`'s source-truth run instead of repeating it, and profiles
+ * a fresh build. When that source run failed, it carries the failure.
+ */
+ProfiledSource profileWorkload(const Workload &w,
+                               const ProfiledSource &prepared,
+                               InputKind input);
+
+/**
  * Run one workload under one configuration, compiled from a shared
  * profiled source. Dies unless src.profile_input == opts.profile_input.
  */

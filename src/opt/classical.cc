@@ -611,6 +611,9 @@ OptStats
 deadCodeElim(Function &f, AnalysisManager &am)
 {
     OptStats stats;
+    RegSet live_now;
+    std::vector<bool> keep;
+    std::vector<Reg> uses, defs;
     bool changed = true;
     while (changed) {
         changed = false;
@@ -619,16 +622,14 @@ deadCodeElim(Function &f, AnalysisManager &am)
         for (int bid : cfg.rpo()) {
             BasicBlock &b = *f.block(bid);
             // Walk backwards tracking liveness precisely.
-            RegSet live_now = live.liveOut(bid);
-            std::vector<bool> keep(b.instrs.size(), true);
-            std::vector<Reg> uses, defs;
+            live_now = live.liveOut(bid);
+            keep.assign(b.instrs.size(), true);
             for (int i = static_cast<int>(b.instrs.size()) - 1; i >= 0;
                  --i) {
                 const Instruction &inst = b.instrs[i];
                 if (inst.isBranch() && inst.target >= 0 &&
                     cfg.reachable(inst.target)) {
-                    for (Reg r : live.liveIn(inst.target))
-                        live_now.insert(r);
+                    live_now |= live.liveIn(inst.target);
                 }
                 instrDefs(inst, defs);
                 bool any_live = defs.empty();

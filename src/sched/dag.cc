@@ -1,6 +1,8 @@
 #include "sched/dag.h"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 #include "analysis/liveness.h"
 #include "support/logging.h"
@@ -37,20 +39,22 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
                const PredRelations &prel)
     : n_(static_cast<int>(b.instrs.size()))
 {
-    preds_.resize(n_);
-    succs_.resize(n_);
+    pred_off_.assign(n_ + 1, 0);
     heights_.assign(n_, 0);
 
     // Each instruction's defs and uses, computed once: instruction k's
-    // are [off[k], off[k + 1]) of the flat arrays.
+    // are [off[k], off[k + 1]) of the flat arrays, and occurrence o of
+    // `defs` belongs to instruction def_at[o] (likewise for `uses`).
     std::vector<Reg> defs, uses, tmp;
-    std::vector<int> def_off(n_ + 1, 0), use_off(n_ + 1, 0);
+    std::vector<int> def_off(n_ + 1, 0), use_off(n_ + 1, 0), def_at, use_at;
     for (int k = 0; k < n_; ++k) {
         instrDefs(b.instrs[k], tmp);
         defs.insert(defs.end(), tmp.begin(), tmp.end());
+        def_at.insert(def_at.end(), tmp.size(), k);
         def_off[k + 1] = static_cast<int>(defs.size());
         instrUses(b.instrs[k], tmp);
         uses.insert(uses.end(), tmp.begin(), tmp.end());
+        use_at.insert(use_at.end(), tmp.size(), k);
         use_off[k + 1] = static_cast<int>(uses.size());
     }
     auto span = [](const std::vector<Reg> &v, const std::vector<int> &off,
@@ -59,10 +63,31 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
                                static_cast<uint32_t>(off[k + 1] - off[k])};
     };
 
+    // Earlier occurrences of each register, newest first: a register's
+    // slot (dense, per class) holds its latest def and latest use
+    // occurrence so far, and each occurrence links to the previous one
+    // of the same register and kind (-1 ends a chain).
+    std::array<int, kNumRegClasses + 1> slot_base{};
+    for (const std::vector<Reg> *v : {&defs, &uses})
+        for (Reg r : *v) {
+            int &top = slot_base[static_cast<int>(r.cls) + 1];
+            top = std::max(top, r.id + 1);
+        }
+    for (int c = 0; c < kNumRegClasses; ++c)
+        slot_base[c + 1] += slot_base[c];
+    auto slot = [&](Reg r) {
+        return slot_base[static_cast<int>(r.cls)] + r.id;
+    };
+    std::vector<int> last_def(slot_base.back(), -1);
+    std::vector<int> last_use(slot_base.back(), -1);
+    std::vector<int> prev_def(defs.size()), prev_use(uses.size());
+    // One chain cursor per register i names: {occurrence, is a use}.
+    std::vector<std::pair<int, bool>> chains;
+
     // Every edge into `to` is added while `to` is the instruction being
     // processed, so the id of the edge from each earlier op (-1: none
-    // yet) coalesces in O(1); it is reset from preds_[to] once `to` is
-    // done.
+    // yet) coalesces in O(1); it is reset from to's edge range once
+    // `to` is done.
     std::vector<int> edge_from(n_, -1);
     auto add_edge = [&](int from, int to, int lat) {
         // Coalesce: keep only the strongest (max-latency) edge per pair.
@@ -70,11 +95,8 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
             edges_[ei].latency = std::max(edges_[ei].latency, lat);
             return;
         }
-        int id = static_cast<int>(edges_.size());
+        edge_from[from] = static_cast<int>(edges_.size());
         edges_.push_back(DagEdge{from, to, lat});
-        succs_[from].push_back(id);
-        preds_[to].push_back(id);
-        edge_from[from] = id;
     };
 
     auto disjoint = [&](int i, int j) {
@@ -86,13 +108,41 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
     };
 
     int last_branch = -1;
+    std::vector<int> mem_ops; // earlier memory ops and calls, ascending
 
     for (int i = 0; i < n_; ++i) {
+        pred_off_[i] = static_cast<int>(edges_.size());
         const Instruction &ii = b.instrs[i];
         const Span<const Reg> defs_i = span(defs, def_off, i);
         const Span<const Reg> uses_i = span(uses, use_off, i);
 
-        for (int j = i - 1; j >= 0; --j) {
+        // Only an earlier op that defines a register i uses (RAW) or
+        // names one i defines (WAR, WAW) can gain a register edge. Visit
+        // them nearest first, which is the order the edges are added in:
+        // merge the register chains, each newest first.
+        chains.clear();
+        for (int o = use_off[i]; o < use_off[i + 1]; ++o)
+            chains.push_back({last_def[slot(uses[o])], false});
+        for (int o = def_off[i]; o < def_off[i + 1]; ++o) {
+            chains.push_back({last_use[slot(defs[o])], true});
+            chains.push_back({last_def[slot(defs[o])], false});
+        }
+        for (int prev_j = -1;;) {
+            int best = -1, j = -1;
+            for (int c = 0; c < static_cast<int>(chains.size()); ++c) {
+                auto [occ, is_use] = chains[c];
+                if (occ >= 0 && (is_use ? use_at[occ] : def_at[occ]) > j) {
+                    j = is_use ? use_at[occ] : def_at[occ];
+                    best = c;
+                }
+            }
+            if (best < 0)
+                break;
+            auto &[occ, is_use] = chains[best];
+            occ = is_use ? prev_use[occ] : prev_def[occ];
+            if (j == prev_j)
+                continue;
+            prev_j = j;
             const Instruction &ij = b.instrs[j];
             const Span<const Reg> defs_j = span(defs, def_off, j);
             const Span<const Reg> uses_j = span(uses, use_off, j);
@@ -154,9 +204,16 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
             }
         }
 
-        // Memory dependences: scan prior memory ops / calls.
+        for (int o = def_off[i]; o < def_off[i + 1]; ++o)
+            prev_def[o] = std::exchange(last_def[slot(defs[o])], o);
+        for (int o = use_off[i]; o < use_off[i + 1]; ++o)
+            prev_use[o] = std::exchange(last_use[slot(uses[o])], o);
+
+        // Memory dependences: scan prior memory ops / calls, nearest
+        // first (no other op can conflict).
         if (ii.isMem() || ii.isCall()) {
-            for (int j = i - 1; j >= 0; --j) {
+            for (auto it = mem_ops.rbegin(); it != mem_ops.rend(); ++it) {
+                const int j = *it;
                 const Instruction &ij = b.instrs[j];
                 bool conflict = false;
                 if (ii.isCall() || ij.isCall()) {
@@ -185,6 +242,7 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
                 if (conflict && !disjoint(i, j))
                     add_edge(j, i, 1);
             }
+            mem_ops.push_back(i);
         }
 
         // Control dependences.
@@ -208,15 +266,28 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
         if (last_branch >= 0 && ii.op == Opcode::ALLOC) {
             add_edge(last_branch, i, 1);
         }
-        for (int ei : preds_[i])
+        for (size_t ei = pred_off_[i]; ei < edges_.size(); ++ei)
             edge_from[edges_[ei].from] = -1;
     }
+    pred_off_[n_] = static_cast<int>(edges_.size());
+
+    // Successors: a counting sort of the edges by source, in edge-id
+    // order.
+    succ_off_.assign(n_ + 1, 0);
+    for (const DagEdge &e : edges_)
+        ++succ_off_[e.from + 1];
+    for (int i = 0; i < n_; ++i)
+        succ_off_[i + 1] += succ_off_[i];
+    succ_ids_.resize(edges_.size());
+    std::vector<int> fill(succ_off_.begin(), succ_off_.end() - 1);
+    for (size_t ei = 0; ei < edges_.size(); ++ei)
+        succ_ids_[fill[edges_[ei].from]++] = static_cast<int>(ei);
 
     // Heights (reverse topological order = reverse index order, since all
     // edges go forward).
     for (int i = n_ - 1; i >= 0; --i) {
         int h = 0;
-        for (int ei : succs_[i])
+        for (int ei : succEdges(i))
             h = std::max(h, edges_[ei].latency + heights_[edges_[ei].to]);
         heights_[i] = h;
     }

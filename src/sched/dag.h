@@ -35,6 +35,15 @@ struct DagEdge
     int latency;
 };
 
+/** The edge ids [first, last). */
+struct EdgeIdRange
+{
+    int first;
+    int last;
+
+    int size() const { return last - first; }
+};
+
 /** Dependence DAG over one block's instructions. */
 class DepDag
 {
@@ -46,10 +55,20 @@ class DepDag
 
     int size() const { return n_; }
     const std::vector<DagEdge> &edges() const { return edges_; }
-    /** Edge indices entering instruction i. */
-    const std::vector<int> &predEdges(int i) const { return preds_[i]; }
-    /** Edge indices leaving instruction i. */
-    const std::vector<int> &succEdges(int i) const { return succs_[i]; }
+    /** Edges entering instruction i: every edge into i is appended
+     *  while i is processed, so they are one contiguous id range. */
+    EdgeIdRange
+    predEdges(int i) const
+    {
+        return {pred_off_[i], pred_off_[i + 1]};
+    }
+    /** Edge ids leaving instruction i, ascending. */
+    Span<const int>
+    succEdges(int i) const
+    {
+        return {succ_ids_.data() + succ_off_[i],
+                static_cast<uint32_t>(succ_off_[i + 1] - succ_off_[i])};
+    }
 
     /** Critical-path height (longest latency path from i to any sink). */
     int height(int i) const { return heights_[i]; }
@@ -57,7 +76,9 @@ class DepDag
   private:
     int n_;
     std::vector<DagEdge> edges_;
-    std::vector<std::vector<int>> preds_, succs_;
+    /// preds: instruction i's edges are ids [pred_off_[i], pred_off_[i+1]);
+    /// succs: CSR, i's are succ_ids_[succ_off_[i], succ_off_[i + 1]).
+    std::vector<int> pred_off_, succ_off_, succ_ids_;
     std::vector<int> heights_;
 };
 

@@ -1,7 +1,8 @@
 #include "sched/regalloc.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <vector>
 
 #include "analysis/manager.h"
 #include "support/error.h"
@@ -55,8 +56,9 @@ allocateRegisters(Function &f, AnalysisManager &am)
     const Cfg &cfg = am.cfg();
     const Liveness &live = am.liveness();
 
-    // Global position numbering over blocks in id order.
-    std::map<int, std::pair<int, int>> block_pos; // bid -> [start, end]
+    // Global position numbering over blocks in id order:
+    // block_pos[bid] = [start, end].
+    std::vector<std::pair<int, int>> block_pos(f.blocks.size());
     int pos = 0;
     for (const auto &bp : f.blocks) {
         if (!bp)
@@ -66,14 +68,24 @@ allocateRegisters(Function &f, AnalysisManager &am)
         block_pos[bp->id] = {start, pos - 1};
     }
 
-    // Build intervals per class.
-    std::map<Reg, Interval> intervals;
+    // Build intervals per class, indexed by register id; an interval
+    // whose vreg is invalid was never touched.
+    std::array<std::vector<Interval>, kNumRegClasses> intervals;
     auto touch = [&](Reg r, int p) {
         if (!r.valid() || !isVirtual(r))
             return;
-        auto &iv = intervals[r];
+        std::vector<Interval> &v = intervals[static_cast<int>(r.cls)];
+        if (static_cast<size_t>(r.id) >= v.size())
+            v.resize(r.id + 1);
+        Interval &iv = v[r.id];
         iv.vreg = r;
         iv.extend(p);
+    };
+    auto interval = [&](Reg r) -> const Interval * {
+        const std::vector<Interval> &v = intervals[static_cast<int>(r.cls)];
+        return static_cast<size_t>(r.id) < v.size() && v[r.id].vreg.valid()
+                   ? &v[r.id]
+                   : nullptr;
     };
 
     // Params are defined "before" position 0.
@@ -126,15 +138,13 @@ allocateRegisters(Function &f, AnalysisManager &am)
         return it != call_positions.end() && *it <= iv.end;
     };
 
-    // Linear scan per register class.
-    std::map<Reg, Reg> assignment;   // vreg -> phys reg
-    std::map<Reg, int> spill_slots;  // vreg -> frame slot
+    // Linear scan per register class, over its intervals in id order.
     int next_slot = 0;
 
     for (RegClass cls : {RegClass::Gr, RegClass::Pr, RegClass::Br}) {
         std::vector<Interval *> ivs;
-        for (auto &[r, iv] : intervals)
-            if (r.cls == cls)
+        for (Interval &iv : intervals[static_cast<int>(cls)])
+            if (iv.vreg.valid())
                 ivs.push_back(&iv);
         std::sort(ivs.begin(), ivs.end(),
                   [](const Interval *a, const Interval *b) {
@@ -211,7 +221,6 @@ allocateRegisters(Function &f, AnalysisManager &am)
             victim->phys = -1;
             victim->spilled = true;
             victim->slot = next_slot++;
-            spill_slots[victim->vreg] = victim->slot;
             ++stats.spilled;
         }
 
@@ -220,18 +229,19 @@ allocateRegisters(Function &f, AnalysisManager &am)
         else if (cls == RegClass::Pr)
             stats.pr_used = max_used;
     }
-    for (auto &[r, iv] : intervals)
-        if (!iv.spilled)
-            assignment[r] = Reg(r.cls, iv.phys);
 
     // Rewrite instructions (with spill code where needed).
     auto remap = [&](Reg r) -> Reg {
         if (!isVirtual(r))
             return r;
-        auto it = assignment.find(r);
-        epic_assert(it != assignment.end(), "unassigned vreg ", r.str(),
+        const Interval *iv = interval(r);
+        epic_assert(iv && !iv->spilled, "unassigned vreg ", r.str(),
                     " in ", f.name);
-        return it->second;
+        return Reg(r.cls, iv->phys);
+    };
+    auto spillSlot = [&](Reg r) {
+        const Interval *iv = interval(r);
+        return iv && iv->spilled ? iv->slot : -1;
     };
 
     for (auto &bp : f.blocks) {
@@ -252,15 +262,15 @@ allocateRegisters(Function &f, AnalysisManager &am)
             for (Operand &o : inst.srcs) {
                 if (!o.isReg() || !isVirtual(o.reg))
                     continue;
-                auto sit = spill_slots.find(o.reg);
-                if (sit == spill_slots.end())
+                const int slot = spillSlot(o.reg);
+                if (slot < 0)
                     continue;
                 Reg t = take_temp();
                 Instruction addr;
                 addr.op = Opcode::ADDI;
                 addr.dests = {t};
                 addr.srcs = {Operand::makeReg(kGrSp),
-                             Operand::makeImm(sit->second * 8)};
+                             Operand::makeImm(slot * 8)};
                 addr.attr |= kAttrSpill;
                 out.push_back(addr);
                 Instruction fill;
@@ -287,10 +297,9 @@ allocateRegisters(Function &f, AnalysisManager &am)
                 if (!isVirtual(d)) {
                     continue;
                 }
-                auto sit = spill_slots.find(d);
-                if (sit != spill_slots.end()) {
+                if (const int slot = spillSlot(d); slot >= 0) {
                     Reg t = take_temp();
-                    dest_stores.push_back({t, sit->second});
+                    dest_stores.push_back({t, slot});
                     d = t;
                 } else {
                     d = remap(d);

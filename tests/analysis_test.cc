@@ -5,6 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
 #include "analysis/alias.h"
 #include "analysis/cfg.h"
 #include "analysis/dom.h"
@@ -12,7 +18,10 @@
 #include "analysis/loops.h"
 #include "analysis/manager.h"
 #include "analysis/predrel.h"
+#include "driver/compiler.h"
+#include "driver/experiment.h"
 #include "ir/builder.h"
+#include "workloads/workload.h"
 
 namespace epic {
 namespace {
@@ -210,6 +219,316 @@ TEST(LivenessTest, GuardedDefDoesNotKill)
     Liveness live(cfg);
     // x must be live into `next` because the guarded def may not execute.
     EXPECT_TRUE(live.liveIn(next->id).count(x));
+}
+
+// ---- RegSet: dense bit vectors per register class --------------------
+
+Reg
+gr(int id)
+{
+    return Reg(RegClass::Gr, id);
+}
+
+/** The members of `s` in iteration order. */
+std::vector<Reg>
+members(const RegSet &s)
+{
+    std::vector<Reg> v;
+    for (Reg r : s)
+        v.push_back(r);
+    return v;
+}
+
+TEST(RegSetTest, WordBoundariesAndLargeIds)
+{
+    RegSet s;
+    const std::vector<Reg> ids = {gr(63), gr(64), gr(127), gr(128),
+                                  gr(1000), gr(4097)};
+    for (Reg r : ids) {
+        EXPECT_FALSE(s.count(r)) << r.str();
+        s.insert(r);
+        EXPECT_TRUE(s.count(r)) << r.str();
+    }
+    EXPECT_EQ(s.size(), ids.size());
+    EXPECT_EQ(members(s), ids);
+    for (int id : {0, 62, 65, 126, 129, 999, 1001, 4096, 100000})
+        EXPECT_FALSE(s.count(gr(id))) << id;
+    s.erase(gr(64));
+    s.erase(gr(128));
+    EXPECT_FALSE(s.count(gr(64)));
+    EXPECT_FALSE(s.count(gr(128)));
+    EXPECT_EQ(members(s),
+              (std::vector<Reg>{gr(63), gr(127), gr(1000), gr(4097)}));
+}
+
+TEST(RegSetTest, ClassesAreSeparate)
+{
+    RegSet s;
+    s.insert(Reg(RegClass::Pr, 5));
+    EXPECT_TRUE(s.count(Reg(RegClass::Pr, 5)));
+    EXPECT_FALSE(s.count(gr(5)));
+    EXPECT_FALSE(s.count(Reg(RegClass::Br, 5)));
+    // r0 and p0 are ordinary members.
+    s.insert(kGrZero);
+    s.insert(kPrTrue);
+    EXPECT_TRUE(s.count(kGrZero));
+    EXPECT_TRUE(s.count(kPrTrue));
+    EXPECT_FALSE(s.count(Reg(RegClass::Br, 0)));
+    s.erase(kGrZero);
+    EXPECT_FALSE(s.count(kGrZero));
+    EXPECT_TRUE(s.count(kPrTrue));
+    EXPECT_EQ(s.size(), 2u);
+}
+
+TEST(RegSetTest, ErasingAnAbsentOrOutOfRangeIdIsANoOp)
+{
+    RegSet s;
+    s.erase(gr(7)); // empty set
+    s.insert(gr(3));
+    s.erase(gr(4));                   // absent, same word
+    s.erase(gr(64));                  // one past the last word
+    s.erase(gr(5000));                // far past it
+    s.erase(Reg(RegClass::Pr, 3));    // same id, other class
+    EXPECT_EQ(members(s), std::vector<Reg>{gr(3)});
+    EXPECT_FALSE(s.count(Reg())); // an invalid id is never a member
+}
+
+TEST(RegSetTest, EqualityIgnoresBuildOrderAndTrailingZeroWords)
+{
+    RegSet a, b;
+    for (int id : {5, 200, 64, 0})
+        a.insert(gr(id));
+    for (int id : {0, 64, 200, 5})
+        b.insert(gr(id));
+    EXPECT_TRUE(a == b);
+    b.insert(gr(3000));
+    EXPECT_FALSE(a == b);
+    b.erase(gr(3000)); // b keeps the words that held gr3000, all zero
+    EXPECT_TRUE(a == b);
+    EXPECT_TRUE(b == a);
+    RegSet c;
+    c |= b; // the union takes b's length
+    EXPECT_TRUE(c == a);
+    c |= RegSet();
+    EXPECT_TRUE(c == a);
+    c.insert(Reg(RegClass::Br, 2));
+    EXPECT_FALSE(c == a);
+    a.clear();
+    EXPECT_TRUE(a == RegSet());
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_FALSE(b == RegSet());
+}
+
+TEST(RegSetTest, IteratesInClassThenIdOrder)
+{
+    const std::vector<Reg> want = {
+        gr(0),
+        gr(63),
+        gr(64),
+        gr(1001),
+        Reg(RegClass::Pr, 0),
+        Reg(RegClass::Pr, 17),
+        Reg(RegClass::Br, 1),
+        Reg(RegClass::Br, 7),
+    };
+    ASSERT_TRUE(std::is_sorted(want.begin(), want.end()));
+    RegSet s;
+    for (auto it = want.rbegin(); it != want.rend(); ++it)
+        s.insert(*it);
+    EXPECT_EQ(members(s), want);
+    EXPECT_TRUE(members(RegSet()).empty());
+}
+
+TEST(RegSetDeathTest, InsertingAnInvalidRegisterAsserts)
+{
+    RegSet s;
+    EXPECT_DEATH(s.insert(Reg()), "invalid register");
+}
+
+/**
+ * Reference fixpoint: Liveness as it was before its sets became dense
+ * bit vectors, with unordered sets and a per-block map for the
+ * predicate-aware effective uses. The dense form must match it on
+ * every block.
+ */
+struct RefLiveness
+{
+    std::vector<std::unordered_set<Reg>> in, out;
+
+    explicit RefLiveness(const Cfg &cfg)
+    {
+        const Function &f = cfg.function();
+        const int n = cfg.maxBlockId();
+        in.assign(n, {});
+        out.assign(n, {});
+        std::vector<std::vector<std::vector<Reg>>> eff_uses(n);
+        std::vector<Reg> uses, defs;
+        for (int bid : cfg.rpo()) {
+            const BasicBlock *b = f.block(bid);
+            auto &block_uses = eff_uses[bid];
+            block_uses.resize(b->instrs.size());
+            std::unordered_map<Reg, Reg> kill_guard;
+            std::unordered_set<Reg> killed;
+            for (size_t i = 0; i < b->instrs.size(); ++i) {
+                const Instruction &inst = b->instrs[i];
+                instrUses(inst, uses);
+                for (Reg r : uses) {
+                    auto it = kill_guard.find(r);
+                    if (!killed.count(r) && it != kill_guard.end() &&
+                        it->second == inst.guard)
+                        continue;
+                    block_uses[i].push_back(r);
+                }
+                instrDefs(inst, defs);
+                if (defsAreUnconditional(inst)) {
+                    for (Reg r : defs) {
+                        killed.insert(r);
+                        kill_guard.erase(r);
+                    }
+                } else if (inst.guard != kPrTrue) {
+                    for (Reg r : defs) {
+                        kill_guard[r] = inst.guard;
+                        killed.erase(r);
+                    }
+                }
+                for (Reg r : defs) {
+                    if (r.cls != RegClass::Pr)
+                        continue;
+                    for (auto it = kill_guard.begin();
+                         it != kill_guard.end();)
+                        it = it->second == r ? kill_guard.erase(it)
+                                             : std::next(it);
+                }
+            }
+        }
+        const auto &rpo = cfg.rpo();
+        bool changed = true;
+        while (changed) {
+            changed = false;
+            for (size_t ri = rpo.size(); ri-- > 0;) {
+                const int bid = rpo[ri];
+                const BasicBlock *b = f.block(bid);
+                std::unordered_set<Reg> o;
+                for (int s : cfg.succs(bid))
+                    if (cfg.reachable(s))
+                        o.insert(in[s].begin(), in[s].end());
+                std::unordered_set<Reg> i_set = o;
+                for (int i = static_cast<int>(b->instrs.size()) - 1; i >= 0;
+                     --i) {
+                    const Instruction &inst = b->instrs[i];
+                    if (inst.isBranch() && inst.target >= 0 &&
+                        cfg.reachable(inst.target))
+                        i_set.insert(in[inst.target].begin(),
+                                     in[inst.target].end());
+                    if (defsAreUnconditional(inst)) {
+                        instrDefs(inst, defs);
+                        for (Reg r : defs)
+                            i_set.erase(r);
+                    }
+                    for (Reg r : eff_uses[bid][i])
+                        i_set.insert(r);
+                }
+                if (o != out[bid] || i_set != in[bid]) {
+                    out[bid] = std::move(o);
+                    in[bid] = std::move(i_set);
+                    changed = true;
+                }
+            }
+        }
+    }
+};
+
+std::vector<Reg>
+sorted(const std::unordered_set<Reg> &s)
+{
+    std::vector<Reg> v(s.begin(), s.end());
+    std::sort(v.begin(), v.end());
+    return v;
+}
+
+/** Every block's live-in and live-out of `f` match the reference. */
+void
+expectMatchesReference(const Function &f, const std::string &where)
+{
+    Cfg cfg(f);
+    Liveness live(cfg);
+    RefLiveness ref(cfg);
+    for (int bid = 0; bid < cfg.maxBlockId(); ++bid) {
+        ASSERT_EQ(members(live.liveIn(bid)), sorted(ref.in[bid]))
+            << where << " " << f.name << " bb" << bid << " live-in";
+        ASSERT_EQ(members(live.liveOut(bid)), sorted(ref.out[bid]))
+            << where << " " << f.name << " bb" << bid << " live-out";
+    }
+}
+
+/**
+ * A use guarded by p right after a def of the same register guarded by
+ * p is covered — unless p is redefined in between (`redefine`), and
+ * never by a def in another block (`split`). Returns whether x is live
+ * into the use's block.
+ */
+bool
+sameGuardUseExposed(bool redefine, bool split)
+{
+    Program p;
+    IRBuilder b(p);
+    Function *f = b.beginFunction("g", 1);
+    BasicBlock *use_bb = f->block(f->entry);
+    Reg x = b.gr();
+    auto [pt, pf] = b.cmpi(CmpCond::GT, b.param(0), 0);
+    (void)pf;
+    b.moviTo(x, 1, pt);
+    if (redefine)
+        b.movp(pt, true);
+    if (split) {
+        use_bb = b.newBlock();
+        b.fallthrough(use_bb);
+        b.setBlock(use_bb);
+    }
+    b.ret(b.addi(x, 1, pt));
+
+    Cfg cfg(*f);
+    Liveness live(cfg);
+    expectMatchesReference(*f, "synthetic");
+    return live.liveIn(use_bb->id).count(x);
+}
+
+TEST(LivenessTest, SameGuardDefCoversUseUntilTheGuardIsRedefined)
+{
+    EXPECT_FALSE(sameGuardUseExposed(false, false));
+    EXPECT_TRUE(sameGuardUseExposed(true, false));
+}
+
+TEST(LivenessTest, SameGuardDefCoversNoUseInAnotherBlock)
+{
+    EXPECT_TRUE(sameGuardUseExposed(false, true));
+}
+
+TEST(LivenessTest, MatchesReferenceFixpointOnEveryWorkload)
+{
+    const Config rungs[] = {Config::Gcc, Config::ONS, Config::IlpNs,
+                            Config::IlpCs, Config::IlpCsDs};
+    int functions = 0;
+    for (const Workload &w : allWorkloads()) {
+        const ProfiledSource src = prepareWorkload(w, RunOptions{});
+        ASSERT_TRUE(src.prog) << w.name << ": " << src.error;
+        for (const auto &fp : src.prog->funcs) {
+            if (!fp)
+                continue;
+            expectMatchesReference(*fp, w.name + " as built");
+            ++functions;
+        }
+        for (Config c : rungs) {
+            const Compiled out = compileProgram(*src.prog, c);
+            for (const auto &fp : out.prog->funcs) {
+                if (!fp)
+                    continue;
+                expectMatchesReference(*fp, w.name + " " + configName(c));
+                ++functions;
+            }
+        }
+    }
+    EXPECT_GT(functions, 0);
 }
 
 TEST(AliasTest, LevelNoneConflictsEverything)

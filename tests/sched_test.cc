@@ -13,11 +13,15 @@
 
 #include "analysis/alias.h"
 #include "analysis/manager.h"
+#include "driver/compiler.h"
+#include "driver/experiment.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
+#include "sched/dag.h"
 #include "sched/listsched.h"
 #include "sched/regalloc.h"
 #include "sim/interp.h"
+#include "workloads/workload.h"
 
 namespace epic {
 namespace {
@@ -456,6 +460,58 @@ TEST(RegAllocTest, CallsPreserveFramePrivacy)
     EXPECT_EQ(before, 100 + 140);
     compileLowLevel(p);
     EXPECT_EQ(runOrder(p, true), before);
+}
+
+TEST(SchedTest, DagAdjacencyMatchesEdgeList)
+{
+    // DepDag keeps each instruction's predecessors as one edge-id range
+    // and its successors as a CSR row. Both must list exactly the edges
+    // of edges() that enter or leave the instruction, in edge-id order.
+    const Config rungs[] = {Config::Gcc, Config::ONS, Config::IlpNs,
+                            Config::IlpCs, Config::IlpCsDs};
+    const MachineConfig mach;
+    int blocks = 0;
+    for (const Workload &w : allWorkloads()) {
+        const ProfiledSource src = prepareWorkload(w, RunOptions{});
+        ASSERT_TRUE(src.prog) << w.name << ": " << src.error;
+        for (Config c : rungs) {
+            const Compiled out = compileProgram(*src.prog, c);
+            AliasAnalysis aa(*out.prog, AliasLevel::Inter);
+            for (const auto &fp : out.prog->funcs) {
+                if (!fp)
+                    continue;
+                AnalysisManager am(*fp, &aa);
+                for (const BasicBlock *b : fp->blocks) {
+                    if (!b || b->bundles.empty())
+                        continue;
+                    DepDag dag(*fp, *b, aa, mach, am.predRelations(b->id));
+                    std::vector<std::vector<int>> preds(dag.size()),
+                        succs(dag.size());
+                    for (int e = 0; e < static_cast<int>(dag.edges().size());
+                         ++e) {
+                        preds[dag.edges()[e].to].push_back(e);
+                        succs[dag.edges()[e].from].push_back(e);
+                    }
+                    for (int i = 0; i < dag.size(); ++i) {
+                        std::vector<int> p, s;
+                        const EdgeIdRange r = dag.predEdges(i);
+                        for (int e = r.first; e < r.last; ++e)
+                            p.push_back(e);
+                        for (int e : dag.succEdges(i))
+                            s.push_back(e);
+                        ASSERT_EQ(p, preds[i])
+                            << w.name << " " << configName(c) << " "
+                            << fp->name << " bb" << b->id << " op " << i;
+                        ASSERT_EQ(s, succs[i])
+                            << w.name << " " << configName(c) << " "
+                            << fp->name << " bb" << b->id << " op " << i;
+                    }
+                    ++blocks;
+                }
+            }
+        }
+    }
+    EXPECT_GT(blocks, 0);
 }
 
 } // namespace
