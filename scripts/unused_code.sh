@@ -62,10 +62,13 @@ kept "$out/main/bench" "$out/main/examples" "$out/perfbench" \
 kept "$out/main/tests" | sort -u - "$out/product.syms" > "$out/kept.syms"
 
 # Demangled plain epic:: function names, with std::string and
-# std::ostream spelled so. A constructor or destructor has several
-# symbols with one demangled name.
+# std::ostream spelled so. GCC tags a function whose return type
+# involves std::string with [abi:cxx11]; the tag goes before the name
+# filter, which would otherwise drop every such function. A constructor
+# or destructor has several symbols with one demangled name.
 functions() {
-    c++filt | { grep -E '^epic::[A-Za-z0-9_:~]+\(' || true; } |
+    c++filt | sed -e 's/\[abi:cxx11\]//g' |
+        { grep -E '^epic::[A-Za-z0-9_:~]+\(' || true; } |
         sed -e 's/std::__cxx11::basic_string<char, std::char_traits<char>, std::allocator<char> >/std::string/g' \
             -e 's/std::basic_ostream<char, std::char_traits<char> >/std::ostream/g' |
         sort -u

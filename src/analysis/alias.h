@@ -41,8 +41,6 @@ class AliasAnalysis
   public:
     AliasAnalysis(const Program &prog, AliasLevel level);
 
-    AliasLevel level() const { return level_; }
-
     /**
      * May two memory operations of the same function touch overlapping
      * locations? Both must be loads/stores.

@@ -111,7 +111,7 @@ AnalysisMode envAnalysisMode();
  * Hit/miss/invalidation counters per analysis kind. Deterministic in
  * every mode (hit/miss accounting is identical across modes by design;
  * invalidations count only actually-destroyed cached objects), so they
- * ride the JSONL artifact and counterStr().
+ * ride the JSONL artifact.
  */
 struct AnalysisCounters
 {
@@ -145,9 +145,6 @@ class AnalysisManager
     AnalysisManager(const AnalysisManager &) = delete;
     AnalysisManager &operator=(const AnalysisManager &) = delete;
 
-    const Function &function() const { return *f_; }
-    AnalysisMode mode() const { return mode_; }
-
     /// The alias analysis is immutable over a compilation (hint- and
     /// attribute-driven), so the manager just carries the pointer.
     /// Fatal when queried on a manager constructed without one.
@@ -177,7 +174,6 @@ class AnalysisManager
 
     /** Name the running pass for stale-checker diagnostics. */
     void beginPass(const std::string &pass) { pass_ = pass; }
-    const std::string &currentPass() const { return pass_; }
 
     const AnalysisCounters &counters() const { return counters_; }
 

@@ -89,19 +89,19 @@ compileProgram(const Program &source, const CompileOptions &opts)
                 }
             }
             const auto v0 = std::chrono::steady_clock::now();
-            VerifyReport vr;
+            std::vector<std::string> errs;
             {
                 TraceSpan span("compile.verify", "inline");
-                vr = verifyAll(*work, "inline");
+                errs = verifyProgram(*work);
             }
             inline_stat.verify_ms +=
                 std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - v0)
                     .count();
-            if (!vr.ok()) {
+            if (!errs.empty()) {
                 ok = false;
-                fail_err = vr.errors.front();
-                fail_count = static_cast<int>(vr.errors.size());
+                fail_err = errs.front();
+                fail_count = static_cast<int>(errs.size());
             }
         } catch (const InjectedFault &e) {
             ok = false;

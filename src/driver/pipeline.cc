@@ -77,29 +77,6 @@ PipelineStats::totalMs() const
 }
 
 std::string
-PipelineStats::counterStr() const
-{
-    std::ostringstream os;
-    for (const PassStat &s : passes) {
-        os << s.pass << " [" << configName(s.rung) << "] runs=" << s.runs
-           << " delta=" << s.instr_delta;
-        // Analysis counters are deterministic; emit the active kinds as
-        // kind=hits/misses/invalidations so stale invalidation behaviour
-        // shows up in bit-identity diffs too.
-        for (int k = 0; k < kNumAnalysisKinds; ++k) {
-            const int64_t h = s.analysis.hits[k];
-            const int64_t m = s.analysis.misses[k];
-            const int64_t inv = s.analysis.invalidations[k];
-            if (h || m || inv)
-                os << " " << analysisKindName(static_cast<AnalysisKind>(k))
-                   << "=" << h << "/" << m << "/" << inv;
-        }
-        os << "\n";
-    }
-    return os.str();
-}
-
-std::string
 PipelineStats::str() const
 {
     std::ostringstream os;
@@ -278,19 +255,6 @@ buildPipeline(Config rung, const CompileOptions &opts)
         if (p.enabled(rung, opts))
             out.push_back(&p);
     return out;
-}
-
-const std::vector<std::string> &
-allPassBoundaries()
-{
-    static const std::vector<std::string> kBoundaries = [] {
-        std::vector<std::string> names;
-        names.push_back("inline"); // program-level transaction
-        for (const PassDesc &p : passRegistry())
-            names.push_back(p.name);
-        return names;
-    }();
-    return kBoundaries;
 }
 
 int

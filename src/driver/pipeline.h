@@ -5,12 +5,12 @@
  *
  * Every per-function pass exists exactly once, as a named PassDesc in
  * passRegistry(). The compilation firewall composes its gated pipeline
- * for a configuration rung with buildPipeline(); the fault-injection
- * site model enumerates the same registry through allPassBoundaries();
- * and compile variants flip the same CompileOptions knobs the registry's
- * `enabled` predicates consult — so adding, removing or reordering a
- * pass is a one-place change that firewall, injector and benchmarks all
- * observe.
+ * for a configuration rung with buildPipeline(), and the fault injector
+ * fires at the boundaries that pipeline visits (plus the program-level
+ * "inline" transaction); compile variants flip the same CompileOptions
+ * knobs the registry's `enabled` predicates consult — so adding,
+ * removing or reordering a pass is a one-place change that firewall,
+ * injector and benchmarks all observe.
  *
  * Two shared statistics blocks live here as well:
  *
@@ -22,8 +22,9 @@
  *    net static-instruction delta, pass wall time and verifier-gate
  *    wall time — aggregated over functions and attempts. Counters are
  *    deterministic (bit-identical between serial and parallel runs);
- *    wall times are measured and therefore vary run to run, so
- *    bit-identity checks use counterStr() and humans read str().
+ *    wall times are measured and therefore vary run to run, so the
+ *    run artifact keeps them out of its deterministic keys and humans
+ *    read them in str().
  */
 #ifndef EPIC_DRIVER_PIPELINE_H
 #define EPIC_DRIVER_PIPELINE_H
@@ -107,12 +108,6 @@ struct PipelineStats
     /** Total wall time across passes and verifier gates, ms. */
     double totalMs() const;
 
-    /**
-     * Deterministic rendering: counters only, no wall times. Serial and
-     * parallel runs of the same compilation produce identical strings.
-     */
-    std::string counterStr() const;
-
     /** Human-readable table with times (for --pass-stats). */
     std::string str() const;
 };
@@ -147,12 +142,6 @@ const std::vector<PassDesc> &passRegistry();
 /** Registry passes enabled for one rung, pipeline order preserved. */
 std::vector<const PassDesc *> buildPipeline(Config rung,
                                             const CompileOptions &opts);
-
-/**
- * Every gated pass-boundary name, the program-level "inline"
- * transaction included: the fault injector's site axis.
- */
-const std::vector<std::string> &allPassBoundaries();
 
 /**
  * Stable ordering index of a pass name for canonical PipelineStats

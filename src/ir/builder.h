@@ -43,9 +43,7 @@ class IRBuilder
     /** Set the insertion block. */
     void setBlock(BasicBlock *b) { bb_ = b; }
 
-    Function *function() { return fn_; }
     BasicBlock *blockNow() { return bb_; }
-    Program &program() { return prog_; }
 
     /** Create a new empty block in the current function. */
     BasicBlock *newBlock();

@@ -102,7 +102,6 @@ class Function
 
     /** The bump arena every IR node of this function lives in. */
     Arena &arena() { return arena_; }
-    const Arena &arena() const { return arena_; }
 
     /** Create a new (empty) block; returns a non-owning pointer. */
     BasicBlock *

@@ -1,7 +1,5 @@
 #include "ir/printer.h"
 
-#include <sstream>
-
 namespace epic {
 
 void
@@ -68,14 +66,6 @@ printProgram(std::ostream &os, const Program &p)
     for (const auto &f : p.funcs)
         if (f)
             printFunction(os, *f);
-}
-
-std::string
-functionToString(const Function &f)
-{
-    std::ostringstream os;
-    printFunction(os, f);
-    return os.str();
 }
 
 } // namespace epic

@@ -7,7 +7,6 @@
 #define EPIC_IR_PRINTER_H
 
 #include <ostream>
-#include <string>
 
 #include "ir/program.h"
 
@@ -18,9 +17,6 @@ void printFunction(std::ostream &os, const Function &f);
 
 /** Print the whole program. */
 void printProgram(std::ostream &os, const Program &p);
-
-/** Convenience: function dump as string. */
-std::string functionToString(const Function &f);
 
 } // namespace epic
 

@@ -354,24 +354,6 @@ verifyProgram(const Program &p)
     return all;
 }
 
-std::string
-VerifyReport::str() const
-{
-    std::ostringstream os;
-    for (const std::string &e : errors)
-        os << "verify[" << phase << "]: " << e << "\n";
-    return os.str();
-}
-
-VerifyReport
-verifyAll(const Program &p, const char *phase)
-{
-    VerifyReport rep;
-    rep.phase = phase;
-    rep.errors = verifyProgram(p);
-    return rep;
-}
-
 void
 verifyOrDie(const Program &p, const char *phase)
 {

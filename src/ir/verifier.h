@@ -21,26 +21,12 @@ namespace epic {
 /** Verify one function; returns human-readable error strings (empty=ok). */
 std::vector<std::string> verifyFunction(const Function &f);
 
-/** Verify a whole program (also checks call targets). */
-std::vector<std::string> verifyProgram(const Program &p);
-
 /**
- * Non-fatal whole-program verification for the compilation firewall:
- * the complete error list, each entry tagged with the phase (every
- * error already carries the offending function's name).
+ * Verify a whole program (also checks call targets): the complete
+ * error list, each naming its function; never aborts, so the
+ * compilation firewall gates on it.
  */
-struct VerifyReport
-{
-    std::string phase;
-    std::vector<std::string> errors;
-
-    bool ok() const { return errors.empty(); }
-    /** All errors, one per line, "verify[phase]: ..." form. */
-    std::string str() const;
-};
-
-/** Run verifyProgram and package the full result (never aborts). */
-VerifyReport verifyAll(const Program &p, const char *phase);
+std::vector<std::string> verifyProgram(const Program &p);
 
 /** Panic if verification fails, after printing *every* error with its
  *  function name and the phase that produced it. */

@@ -52,8 +52,6 @@ class Cache
 
     uint64_t accesses() const { return accesses_; }
     uint64_t misses() const { return misses_; }
-    int latency() const { return cfg_.latency; }
-    const CacheConfig &config() const { return cfg_; }
 
     /** Checkpoint tags/LRU/counters; restore requires an identically
      *  configured cache (geometry is asserted, not serialized). */
@@ -178,11 +176,6 @@ class MemHierarchy
         r.latency = mach_.mem_latency;
         return r;
     }
-
-    Cache &l1i() { return l1i_; }
-    Cache &l1d() { return l1d_; }
-    Cache &l2() { return l2_; }
-    Cache &l3() { return l3_; }
 
     void saveState(CkptWriter &w) const;
     void loadState(CkptReader &r);

@@ -61,14 +61,7 @@ class CkptWriter
     {
         buf_.append(static_cast<const char *>(p), n);
     }
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        buf_.append(s);
-    }
 
-    const std::string &data() const { return buf_; }
     std::string take() { return std::move(buf_); }
 
   private:
@@ -114,15 +107,6 @@ class CkptReader
         need(n);
         std::memcpy(p, data_.data() + pos_, n);
         pos_ += n;
-    }
-    std::string
-    str()
-    {
-        const uint64_t n = u64();
-        need(n);
-        std::string s(data_, pos_, n);
-        pos_ += n;
-        return s;
     }
 
     bool atEnd() const { return pos_ == data_.size(); }

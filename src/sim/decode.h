@@ -390,7 +390,6 @@ execDecodedImpl(const Program &prog, const DecodedInstr &inst,
         GrVal a = evalGrDec(prog, frame, inst.src[0]);
         eff.is_mem = true;
         eff.is_load = true;
-        eff.size = inst.size;
         if (a.nat) {
             if (inst.spec) {
                 // NaT address on a speculative chain: defer.
@@ -431,7 +430,6 @@ execDecodedImpl(const Program &prog, const DecodedInstr &inst,
         GrVal a = evalGrDec(prog, frame, inst.src[0]);
         GrVal v = evalGrDec(prog, frame, inst.src[1]);
         eff.is_mem = true;
-        eff.size = inst.size;
         if (a.nat || v.nat) {
             eff.trap = true;
             eff.trap_msg = "store consumed NaT";

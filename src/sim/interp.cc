@@ -1,8 +1,6 @@
 #include "sim/interp.h"
 
-#include <deque>
 #include <unordered_map>
-#include <vector>
 
 #include "sim/decode.h"
 #include "support/logging.h"
@@ -53,11 +51,7 @@ interpret(Program &prog, Memory &mem, const InterpOptions &opts)
     const DecodedProgram dec =
         DecodedProgram::forInterp(prog, opts.scheduled_order);
 
-    std::deque<Frame> stack;
-    std::vector<Frame> frame_pool; ///< recycled activations
-    const uint64_t stack_top = Program::kStackTop - 64;
-    stack.emplace_back(entry_fn,
-                       stack_top - Frame::frameBytes(*entry_fn));
+    CallStack<Frame> stack(entry_fn, opts.max_depth);
 
     Function *fn = entry_fn;
     const DecodedFunction *dfn = &dec.func(fn->id);
@@ -111,9 +105,6 @@ interpret(Program &prog, Memory &mem, const InterpOptions &opts)
         return true;
     };
 
-    // Scratch for gathering call arguments (reused across calls).
-    std::vector<GrVal> args;
-
     // Per-run index over indirect-call profile entries: callee id ->
     // position in Instruction::prof_callees. Replaces the linear scan
     // per indirect call while keeping the profile vector in exactly the
@@ -121,10 +112,9 @@ interpret(Program &prog, Memory &mem, const InterpOptions &opts)
     std::unordered_map<Instruction *, std::unordered_map<int, size_t>>
         callee_ix;
 
-    // The current activation. std::deque never relocates elements on
-    // push_back/pop_back, so the pointer stays valid until the frame it
-    // names is popped (it is refreshed on every call and return).
-    Frame *frame = &stack.back();
+    // The current activation (a record's address never changes; the
+    // pointer is refreshed on every call and return).
+    Frame *frame = &stack.top();
 
     // Per-effect bookkeeping shared by every handler. Ordering matters
     // and is part of the observable semantics: instruction counters
@@ -175,48 +165,12 @@ interpret(Program &prog, Memory &mem, const InterpOptions &opts)
             else
                 inst.profCallees()[it->second].count += 1;
         }
-        if (static_cast<int>(stack.size()) >= opts.max_depth) {
-            res.fail(RunStatus::BudgetExceeded,
-                     "call depth limit exceeded (" +
-                         std::to_string(opts.max_depth) + ") in " +
-                         fn->name);
+        Frame *callee = stack.call(prog, *di.orig, eff.callee, bb->id,
+                                   static_cast<int>(pos) + 1, res);
+        if (!callee)
             return false;
-        }
-        Function *callee = prog.func(eff.callee);
-        epic_assert(callee, "call to missing function");
-        // Gather argument values from the caller before pushing
-        // (argument lists live on the original instruction).
-        const Instruction &inst = *di.orig;
-        size_t first_arg = di.op == Opcode::BR_ICALL ? 1 : 0;
-        size_t nargs = inst.srcs.size() - first_arg;
-        if (nargs != callee->params.size()) {
-            res.fail(RunStatus::Faulted,
-                     "arity mismatch calling " + callee->name);
-            return false;
-        }
-        args.resize(nargs);
-        for (size_t i = 0; i < nargs; ++i)
-            args[i] =
-                detail::evalGr(prog, *frame, inst.srcs[first_arg + i]);
-
-        const uint64_t callee_sp =
-            frame->sp - Frame::frameBytes(*callee);
-        if (frame_pool.empty()) {
-            stack.emplace_back(callee, callee_sp);
-        } else {
-            stack.push_back(std::move(frame_pool.back()));
-            frame_pool.pop_back();
-            stack.back().reset(callee, callee_sp);
-        }
-        Frame &nf = stack.back();
-        nf.ret_block = bb->id;
-        nf.ret_pos = static_cast<int>(pos) + 1;
-        nf.ret_dest = di.dest0;
-        for (size_t i = 0; i < nargs; ++i)
-            nf.writeGr(callee->params[i], args[i]);
-        frame = &nf;
-
-        fn = callee;
+        frame = callee;
+        fn = const_cast<Function *>(callee->fn);
         dfn = &dec.func(fn->id);
         if (opts.collect_profile)
             fn->weight += 1;
@@ -225,31 +179,20 @@ interpret(Program &prog, Memory &mem, const InterpOptions &opts)
     // Returns false when this was the outermost frame (run finished).
     auto do_ret = [&](const Effect &eff) -> bool {
         ++res.dyn_branches;
-        const int ret_block = stack.back().ret_block;
-        const int ret_pos = stack.back().ret_pos;
-        const Reg ret_dest = stack.back().ret_dest;
-        frame_pool.push_back(std::move(stack.back()));
-        stack.pop_back();
-        if (stack.empty()) {
-            res.succeed(eff.has_ret_val ? eff.ret_val.v : 0);
+        const Frame &done = stack.ret(eff, res);
+        if (stack.empty())
             return false;
-        }
-        Frame &caller = stack.back();
-        frame = &caller;
-        fn = const_cast<Function *>(caller.fn);
+        frame = &stack.top();
+        fn = const_cast<Function *>(frame->fn);
         dfn = &dec.func(fn->id);
-        if (ret_dest.valid() && eff.has_ret_val)
-            caller.writeGr(ret_dest, eff.ret_val);
-        else if (ret_dest.valid())
-            caller.writeGr(ret_dest, GrVal{0, false});
-        bb = fn->block(ret_block);
+        bb = fn->block(done.ret_block);
         epic_assert(bb, "return to dead block");
-        const DecodedBlock &db = dfn->block(ret_block);
+        const DecodedBlock &db = dfn->block(done.ret_block);
         order = db.order;
         order_len = db.order_len;
         dinstrs = db.dinstrs;
         straight = db.straight_len;
-        pos = static_cast<uint32_t>(ret_pos);
+        pos = static_cast<uint32_t>(done.ret_pos);
         return true;
     };
 

@@ -72,9 +72,7 @@ class Memory
         if (!p)
             return false;
         if (off + static_cast<uint64_t>(size) <= kPageSize) {
-            uint64_t v = 0;
-            std::memcpy(&v, p + off, static_cast<size_t>(size));
-            out = v;
+            out = loadBytes(p + off, size);
             return true;
         }
         return tryReadCross(addr, size, out);
@@ -90,7 +88,7 @@ class Memory
         if (!p)
             return false;
         if (off + static_cast<uint64_t>(size) <= kPageSize) {
-            std::memcpy(p + off, &value, static_cast<size_t>(size));
+            storeBytes(p + off, value, size);
             return true;
         }
         return tryWriteCross(addr, value, size);
@@ -141,6 +139,56 @@ class Memory
 
     /** Hash-table probe on a 2-entry-cache miss (out of line). */
     uint8_t *lookupPageSlow(uint64_t pn) const;
+
+    /**
+     * The low `size` bytes of a little-endian value at `p`, and its
+     * store. Sizes 1/2/4/8 copy a fixed width, one move each: where the
+     * compiler inlines a variable-size memcpy into a simulator loop it
+     * can emit `rep movsq`, which costs tens of cycles per access.
+     */
+    static uint64_t
+    loadBytes(const uint8_t *p, int size)
+    {
+        uint16_t v2 = 0;
+        uint32_t v4 = 0;
+        uint64_t v8 = 0;
+        switch (size) {
+          case 1:
+            return p[0];
+          case 2:
+            std::memcpy(&v2, p, 2);
+            return v2;
+          case 4:
+            std::memcpy(&v4, p, 4);
+            return v4;
+          case 8:
+            std::memcpy(&v8, p, 8);
+            return v8;
+        }
+        std::memcpy(&v8, p, static_cast<size_t>(size));
+        return v8;
+    }
+    static void
+    storeBytes(uint8_t *p, uint64_t value, int size)
+    {
+        const uint16_t v2 = static_cast<uint16_t>(value);
+        const uint32_t v4 = static_cast<uint32_t>(value);
+        switch (size) {
+          case 1:
+            p[0] = static_cast<uint8_t>(value);
+            return;
+          case 2:
+            std::memcpy(p, &v2, 2);
+            return;
+          case 4:
+            std::memcpy(p, &v4, 4);
+            return;
+          case 8:
+            std::memcpy(p, &value, 8);
+            return;
+        }
+        std::memcpy(p, &value, static_cast<size_t>(size));
+    }
 
     /** Cross-page slow paths for tryRead/tryWrite (out of line). */
     bool tryReadCross(uint64_t addr, int size, uint64_t &out) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <thread>
 #include <type_traits>
 #include <unordered_map>
@@ -33,25 +32,71 @@ struct RegT
     uint8_t load = 0;    ///< producer was a load
 };
 
-/** Per-frame timing state: register ready times and producer class. */
-struct TFrame
+/** The timing sim's activation record: the architected frame plus the
+ *  scoreboard state of each of its registers, indexed like its
+ *  register files. */
+struct TimingFrame : Frame
 {
-    // Indexed like the architectural frame's register files.
-    std::vector<RegT> gr;
+    std::vector<RegT> ready_gr;
     std::vector<int64_t> ready_pr;
 
-    TFrame(size_t ngr, size_t npr)
+    void
+    reset(const Function *f, uint64_t sp_value)
     {
-        reset(ngr, npr);
+        Frame::reset(f, sp_value);
+        ready_gr.assign(gr.size(), RegT{});
+        ready_pr.assign(pr.size(), 0);
     }
 
-    /** Re-zero for a new activation, reusing the vectors' capacity (the
-     *  timing frames are pooled across call/return). */
+    /** This record's checkpoint section, all but its function id. */
     void
-    reset(size_t ngr, size_t npr)
+    save(CkptWriter &w) const
     {
-        gr.assign(ngr, RegT{});
-        ready_pr.assign(npr, 0);
+        w.u64(gr.size());
+        for (size_t i = 0; i < gr.size(); ++i) {
+            w.i64(gr[i].v);
+            w.u8(gr[i].nat ? 1 : 0);
+            w.i64(ready_gr[i].ready);
+            w.i64(ready_gr[i].planned);
+            w.u8(ready_gr[i].f_unit);
+            w.u8(ready_gr[i].load);
+        }
+        w.u64(pr.size());
+        w.raw(pr.data(), pr.size());
+        for (const int64_t t : ready_pr)
+            w.i64(t);
+        w.i64(ret_block);
+        w.i64(ret_pos);
+        w.u8(static_cast<uint8_t>(ret_dest.cls));
+        w.i64(ret_dest.id);
+        w.u64(sp);
+    }
+
+    void
+    load(CkptReader &r)
+    {
+        const uint64_t ngr = r.u64();
+        gr.resize(ngr);
+        ready_gr.resize(ngr);
+        for (size_t i = 0; i < ngr; ++i) {
+            gr[i].v = r.i64();
+            gr[i].nat = r.u8() != 0;
+            ready_gr[i].ready = r.i64();
+            ready_gr[i].planned = r.i64();
+            ready_gr[i].f_unit = r.u8();
+            ready_gr[i].load = r.u8();
+        }
+        const uint64_t npr = r.u64();
+        pr.resize(npr);
+        r.raw(pr.data(), npr);
+        ready_pr.resize(npr);
+        for (int64_t &t : ready_pr)
+            t = r.i64();
+        ret_block = static_cast<int>(r.i64());
+        ret_pos = static_cast<int>(r.i64());
+        ret_dest.cls = static_cast<RegClass>(r.u8());
+        ret_dest.id = static_cast<int32_t>(r.i64());
+        sp = r.u64();
     }
 };
 
@@ -258,32 +303,11 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
         }
     }
 
-    // Execution state (architected + timing), parallel stacks.
-    std::deque<Frame> frames;
-    std::deque<TFrame> tframes;
-    std::deque<int> frame_stacked; ///< register-stack frame sizes
-    std::vector<Frame> frame_pool;   ///< recycled architectural frames
-    std::vector<TFrame> tframe_pool; ///< recycled timing frames
-
-    const uint64_t stack_top = Program::kStackTop - 64;
-    frames.emplace_back(entry_fn,
-                        stack_top - Frame::frameBytes(*entry_fn));
-    auto push_tframe = [&](const Frame &f) {
-        if (tframe_pool.empty()) {
-            tframes.emplace_back(f.gr.size(), f.pr.size());
-        } else {
-            tframes.push_back(std::move(tframe_pool.back()));
-            tframe_pool.pop_back();
-            tframes.back().reset(f.gr.size(), f.pr.size());
-        }
-    };
-    push_tframe(frames.back());
-    frame_stacked.push_back(entry_fn->stacked_regs);
-    // Cached top-of-stack pointers (deque references are stable until
-    // the element itself is popped): saves two deque::back() chases
-    // per group; refreshed at call/return/restore.
-    Frame *cur_frame = &frames.back();
-    TFrame *cur_tf = &tframes.back();
+    // Execution state, architected and timing: one record per call.
+    CallStack<TimingFrame> stack(entry_fn, opts.max_depth);
+    // Cached top of the stack (a record's address never changes): saves
+    // a deque index per group; refreshed at call/return/restore.
+    TimingFrame *cur_frame = &stack.top();
 
     // Machine structures.
     MemHierarchy hier(mach);
@@ -330,9 +354,9 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
     StoreRec store_ring[16] = {}; ///< zeroed: checkpoints serialize it
     uint32_t store_count = 0;     ///< total stores pushed so far
 
-    Function *fn = entry_fn;
+    const Function *fn = entry_fn;
     const DecodedFunction *dfn = &dec.func(fn->id);
-    BasicBlock *bb = fn->block(fn->entry);
+    const BasicBlock *bb = fn->block(fn->entry);
     if (!bb) {
         res.fail(RunStatus::Faulted, "entry block missing");
         return res;
@@ -386,17 +410,6 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                 static_cast<uint64_t>(n);
         }
     };
-
-    // Scratch for gathering call arguments (reused across calls).
-    std::vector<GrVal> args;
-
-    // Resume positions for returns: group index in caller's block.
-    struct RetPos
-    {
-        int block;
-        uint32_t group;
-    };
-    std::deque<RetPos> ret_stack;
 
     // ---- Sampled-mode phase state (SimMode::Sampled) ----
     // The run cycles warm-up -> measure -> fast-forward on an absolute
@@ -464,45 +477,10 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
         dtlb.saveState(w);
         alat.saveState(w);
         saveState(w, pm);
-        w.u64(frames.size());
-        for (const Frame &f : frames) {
-            w.i64(f.fn->id);
-            w.u64(f.gr.size());
-            for (const GrVal &g : f.gr) {
-                w.i64(g.v);
-                w.u8(g.nat ? 1 : 0);
-            }
-            w.u64(f.pr.size());
-            w.raw(f.pr.data(), f.pr.size());
-            w.i64(f.ret_block);
-            w.i64(f.ret_pos);
-            w.u8(static_cast<uint8_t>(f.ret_dest.cls));
-            w.i64(f.ret_dest.id);
-            w.u64(f.sp);
-        }
-        w.u64(tframes.size());
-        for (const TFrame &t : tframes) {
-            auto put = [&w](const std::vector<RegT> &v) {
-                w.u64(v.size());
-                for (const RegT &rt : v) {
-                    w.i64(rt.ready);
-                    w.i64(rt.planned);
-                    w.u8(rt.f_unit);
-                    w.u8(rt.load);
-                }
-            };
-            put(t.gr);
-            w.u64(t.ready_pr.size());
-            for (const int64_t p : t.ready_pr)
-                w.i64(p);
-        }
-        w.u64(frame_stacked.size());
-        for (const int s : frame_stacked)
-            w.i64(s);
-        w.u64(ret_stack.size());
-        for (const RetPos &rp : ret_stack) {
-            w.i64(rp.block);
-            w.u64(rp.group);
+        w.u64(stack.depth());
+        for (size_t i = 0; i < stack.depth(); ++i) {
+            w.i64(stack[i].fn->id);
+            stack[i].save(w);
         }
         w.i64(rse_logical);
         w.i64(rse_spilled);
@@ -553,57 +531,14 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
         dtlb.loadState(r);
         alat.loadState(r);
         loadState(r, pm);
-        frames.clear();
+        stack.clear();
         const uint64_t nframes = r.u64();
         for (uint64_t i = 0; i < nframes; ++i) {
-            Function *ffn = prog.func(static_cast<int>(r.i64()));
+            const Function *ffn = prog.func(static_cast<int>(r.i64()));
             epic_assert(ffn, "checkpoint frame for missing function");
-            frames.emplace_back(ffn, 0);
-            Frame &f = frames.back();
-            f.gr.resize(r.u64());
-            for (GrVal &g : f.gr) {
-                g.v = r.i64();
-                g.nat = r.u8() != 0;
-            }
-            f.pr.resize(r.u64());
-            r.raw(f.pr.data(), f.pr.size());
-            f.ret_block = static_cast<int>(r.i64());
-            f.ret_pos = static_cast<int>(r.i64());
-            f.ret_dest.cls = static_cast<RegClass>(r.u8());
-            f.ret_dest.id = static_cast<int32_t>(r.i64());
-            f.sp = r.u64();
+            stack.push(ffn, 0).load(r);
         }
-        tframes.clear();
-        const uint64_t ntf = r.u64();
-        for (uint64_t i = 0; i < ntf; ++i) {
-            tframes.emplace_back(0, 0);
-            TFrame &t = tframes.back();
-            auto get = [&r](std::vector<RegT> &v) {
-                v.resize(r.u64());
-                for (RegT &rt : v) {
-                    rt.ready = r.i64();
-                    rt.planned = r.i64();
-                    rt.f_unit = r.u8();
-                    rt.load = r.u8();
-                }
-            };
-            get(t.gr);
-            t.ready_pr.resize(r.u64());
-            for (int64_t &p : t.ready_pr)
-                p = r.i64();
-        }
-        frame_stacked.clear();
-        const uint64_t nstk = r.u64();
-        for (uint64_t i = 0; i < nstk; ++i)
-            frame_stacked.push_back(static_cast<int>(r.i64()));
-        ret_stack.clear();
-        const uint64_t nret = r.u64();
-        for (uint64_t i = 0; i < nret; ++i) {
-            RetPos rp;
-            rp.block = static_cast<int>(r.i64());
-            rp.group = static_cast<uint32_t>(r.u64());
-            ret_stack.push_back(rp);
-        }
+        epic_assert(!stack.empty(), "checkpoint without a frame");
         rse_logical = r.i64();
         rse_spilled = r.i64();
         for (StoreRec &sr : store_ring) {
@@ -662,8 +597,7 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
         func_cyc_id = -1;
         region_cyc = nullptr;
         region_fid = region_bid = -1;
-        cur_frame = &frames.back();
-        cur_tf = &tframes.back();
+        cur_frame = &stack.top();
         pmu_next = pmu_p ? pmu_p->nextSampleAt() : ~0ull;
     };
 
@@ -696,10 +630,8 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
         // both the scoreboard and execute walks.
         const DecodedInstr *gdi = gdi_base + group.op_off;
         const uint64_t *gaddrs = gaddr_base + group.op_off;
-        Frame &frame = *cur_frame;
-        TFrame &tf = *cur_tf;
+        TimingFrame &frame = *cur_frame;
         (void)gaddrs;
-        (void)tf;
 
         int64_t issue = 0;
         int64_t post_penalty = 0; ///< serializing penalties after issue
@@ -756,16 +688,17 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
             };
             auto consider_reg = [&](const Reg &r) {
                 if (r.cls == RegClass::Gr && r.id != 0) {
-                    const RegT &t = tf.gr[r.id];
+                    const RegT &t = frame.ready_gr[r.id];
                     consider(t.ready, t.planned, t.f_unit, t.load);
                 } else if (r.cls == RegClass::Pr && r.id != 0) {
-                    consider(tf.ready_pr[r.id], base, false, false);
+                    consider(frame.ready_pr[r.id], base, false, false);
                 }
             };
             for (uint16_t mi = 0; mi < group.nops; ++mi) {
                 const DecodedInstr &di = gdi[mi];
                 if (di.guard.id != 0)
-                    consider(tf.ready_pr[di.guard.id], base, false, false);
+                    consider(frame.ready_pr[di.guard.id], base, false,
+                             false);
                 if (!frame.readPr(di.guard))
                     continue; // squashed ops don't stall on operands
                 if (di.flags & kDecCall) {
@@ -817,10 +750,9 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
         }
 
         // ---- Execute ops in slot order ----
-        enum class Ctl { None, Branch, Call, Ret } ctl = Ctl::None;
-        int ctl_target = -1, ctl_callee = -1;
-        const Instruction *ctl_inst = nullptr;
+        // The taken control transfer that ends the group, if any.
         Effect ctl_eff;
+        const DecodedInstr *ctl_di = nullptr;
 
         for (uint16_t op_i = 0; op_i < group.nops; ++op_i) {
             const DecodedInstr &di = gdi[op_i];
@@ -852,13 +784,15 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                         uint64_t page = Memory::pageOf(eff.addr);
                         int tlb_extra = 0;
                         if (eff.mem_deferred) {
-                            // Speculative load that deferred to NaT.
+                            // Speculative load that deferred to NaT. A
+                            // NaT address touches no memory and costs
+                            // only its issue slot.
                             if (eff.mem_null_page) {
                                 ++pm.null_page_loads;
                                 post_penalty += mach.nat_page_cycles;
                                 charge(CycleCat::IntLoadBubble,
                                        mach.nat_page_cycles);
-                            } else {
+                            } else if (eff.mem_wild) {
                                 ++pm.wild_loads;
                                 if (opts.deferral ==
                                     DeferralPolicy::General) {
@@ -891,7 +825,7 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                             if (__builtin_expect(di.op == Opcode::CHK_A,
                                                  0)) {
                                 if (alat.check(di.dest0.id, eff.addr,
-                                               di.orig->size)) {
+                                               di.size)) {
                                     ++pm.alat_hits;
                                     chk_validated = true;
                                 } else {
@@ -952,7 +886,7 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                                                      0)) {
                                     ++pm.advanced_loads;
                                     alat.allocate(di.dest0.id, eff.addr,
-                                                  di.orig->size);
+                                                  di.size);
                                 }
                             }
                         }
@@ -973,7 +907,7 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                         ++store_count;
                         // Committing store: drop overlapping advanced-load
                         // entries (their chk.a must recover).
-                        alat.invalidate(eff.addr, di.orig->size);
+                        alat.invalidate(eff.addr, di.size);
                     }
                 }
 
@@ -984,7 +918,7 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                     bool is_ld = (di.flags & kDecLoad) != 0;
                     auto mark_dest = [&](const Reg &d) {
                         if (d.cls == RegClass::Gr && d.id != 0) {
-                            tf.gr[d.id] =
+                            frame.ready_gr[d.id] =
                                 RegT{issue + actual_lat,
                                      issue + planned_lat,
                                      static_cast<uint8_t>(is_f),
@@ -992,7 +926,7 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                         } else if (d.cls == RegClass::Pr && d.id != 0) {
                             // Available to same-group branches and to
                             // all next-group consumers.
-                            tf.ready_pr[d.id] = issue;
+                            frame.ready_pr[d.id] = issue;
                         }
                     };
                     if (di.dest0.valid())
@@ -1004,10 +938,10 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                     // unc compares clear their destinations even when
                     // squashed; the predicates are ready at issue.
                     if (di.dest0.cls == RegClass::Pr && di.dest0.id != 0)
-                        tf.ready_pr[di.dest0.id] = issue;
+                        frame.ready_pr[di.dest0.id] = issue;
                     if (di.dest1.valid() && di.dest1.cls == RegClass::Pr &&
                         di.dest1.id != 0)
-                        tf.ready_pr[di.dest1.id] = issue;
+                        frame.ready_pr[di.dest1.id] = issue;
                 }
 
                 // ---- Control ----
@@ -1060,7 +994,7 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                         if (eff.mem_deferred) {
                             if (eff.mem_null_page)
                                 ++pm.null_page_loads;
-                            else
+                            else if (eff.mem_wild)
                                 ++pm.wild_loads;
                         }
                     } else {
@@ -1078,13 +1012,8 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
                                mach.call_redirect_cycles);
                     }
                 }
-                ctl = eff.ctl == Effect::Ctl::Branch ? Ctl::Branch
-                      : eff.ctl == Effect::Ctl::Call ? Ctl::Call
-                                                     : Ctl::Ret;
-                ctl_target = eff.branch_target;
-                ctl_callee = eff.callee;
-                ctl_inst = di.orig;
                 ctl_eff = eff;
+                ctl_di = &di;
                 break; // a taken transfer ends the group
             }
         }
@@ -1094,13 +1023,13 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
         (void)post_penalty;
 
         // ---- Apply control transfer ----
-        switch (ctl) {
-          case Ctl::None:
+        switch (ctl_eff.ctl) {
+          case Effect::Ctl::Next:
             ++gi;
             break;
 
-          case Ctl::Branch: {
-            BasicBlock *nb = fn->block(ctl_target);
+          case Effect::Ctl::Branch: {
+            const BasicBlock *nb = fn->block(ctl_eff.branch_target);
             if (!nb) {
                 res.fail(RunStatus::Faulted, "branch to dead block");
                 return GroupExit::Failed;
@@ -1111,55 +1040,21 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
             break;
           }
 
-          case Ctl::Call: {
-            if (static_cast<int>(frames.size()) >= opts.max_depth) {
-                res.fail(RunStatus::BudgetExceeded,
-                         "call depth limit exceeded (" +
-                             std::to_string(opts.max_depth) + ")");
+          case Effect::Ctl::Call: {
+            TimingFrame *nf =
+                stack.call(prog, *ctl_di->orig, ctl_eff.callee, bb->id,
+                           static_cast<int>(gi) + 1, res);
+            if (!nf)
                 return GroupExit::Failed;
-            }
-            Function *callee = prog.func(ctl_callee);
-            epic_assert(callee, "call to missing function");
-            size_t first_arg =
-                ctl_inst->op == Opcode::BR_ICALL ? 1 : 0;
-            size_t nargs = ctl_inst->srcs.size() - first_arg;
-            if (nargs != callee->params.size()) {
-                res.fail(RunStatus::Faulted,
-                         "arity mismatch calling " + callee->name);
-                return GroupExit::Failed;
-            }
-            args.resize(nargs);
-            for (size_t i = 0; i < nargs; ++i)
-                args[i] = detail::evalGr(prog, frame,
-                                         ctl_inst->srcs[first_arg + i]);
-
-            ret_stack.push_back(RetPos{bb->id, gi + 1});
-            const uint64_t callee_sp =
-                frame.sp - Frame::frameBytes(*callee);
-            if (frame_pool.empty()) {
-                frames.emplace_back(callee, callee_sp);
-            } else {
-                frames.push_back(std::move(frame_pool.back()));
-                frame_pool.pop_back();
-                frames.back().reset(callee, callee_sp);
-            }
-            Frame &nf = frames.back();
-            nf.ret_dest = ctl_inst->dests.empty() ? Reg()
-                                                  : ctl_inst->dests[0];
-            for (size_t i = 0; i < nargs; ++i)
-                nf.writeGr(callee->params[i], args[i]);
-            push_tframe(nf);
-            cur_frame = &nf;
-            cur_tf = &tframes.back();
+            cur_frame = nf;
+            const Function *callee = nf->fn;
             if constexpr (kDetailed) {
-                TFrame &ntf = *cur_tf;
                 for (const Reg &p : callee->params)
                     if (p.cls == RegClass::Gr && p.id != 0)
-                        ntf.gr[p.id].ready = issue + 1;
+                        nf->ready_gr[p.id].ready = issue + 1;
             }
 
             // Register stack engine.
-            frame_stacked.push_back(callee->stacked_regs);
             rse_logical += callee->stacked_regs;
             int64_t resident = rse_logical - rse_spilled;
             int64_t over = resident - mach.stacked_phys_regs;
@@ -1196,27 +1091,19 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
             break;
           }
 
-          case Ctl::Ret: {
-            const Reg ret_dest = cur_frame->ret_dest;
-            frame_pool.push_back(std::move(frames.back()));
-            frames.pop_back();
-            tframe_pool.push_back(std::move(tframes.back()));
-            tframes.pop_back();
-            int my_stacked = frame_stacked.back();
-            frame_stacked.pop_back();
-
-            rse_logical -= my_stacked;
-            if (frames.empty()) {
+          case Effect::Ctl::Ret: {
+            const TimingFrame &done = stack.ret(ctl_eff, res);
+            rse_logical -= done.fn->stacked_regs;
+            if (stack.empty()) {
                 // Flush the final partial PMU interval so sample
                 // sums reconcile exactly with end-of-run totals.
                 if (__builtin_expect(pmu_p != nullptr, 0))
                     pmu_p->finish(pm, cycles_total);
-                res.succeed(ctl_eff.has_ret_val ? ctl_eff.ret_val.v
-                                                : 0);
                 return GroupExit::Finished;
             }
+            TimingFrame &caller = stack.top();
             // RSE fill: the caller's frame must be resident again.
-            int64_t caller_frame = frame_stacked.back();
+            int64_t caller_frame = caller.fn->stacked_regs;
             int64_t resident = rse_logical - rse_spilled;
             if (resident < caller_frame && rse_spilled > 0) {
                 int64_t fill = std::min<int64_t>(
@@ -1235,35 +1122,25 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
             if constexpr (kDetailed)
                 alat.flushAll();
 
-            RetPos rp = ret_stack.back();
-            ret_stack.pop_back();
-            Frame &caller = frames.back();
             cur_frame = &caller;
-            cur_tf = &tframes.back();
-            fn = const_cast<Function *>(caller.fn);
+            fn = caller.fn;
             dfn = &dec.func(fn->id);
             gdi_base = dfn->ginstrs();
             gaddr_base = dfn->gaddrs();
             gline_base = dfn->glines();
-            if (ret_dest.valid()) {
-                caller.writeGr(ret_dest,
-                               ctl_eff.has_ret_val
-                                   ? ctl_eff.ret_val
-                                   : GrVal{0, false});
-                if constexpr (kDetailed) {
-                    TFrame &ctf = *cur_tf;
-                    if (ret_dest.id != 0)
-                        ctf.gr[ret_dest.id] =
-                            RegT{t_prev + 1, t_prev + 1, 0, 0};
-                }
+            if constexpr (kDetailed) {
+                // The value stack.ret() wrote is ready after the return.
+                if (done.ret_dest.valid() && done.ret_dest.id != 0)
+                    caller.ready_gr[done.ret_dest.id] =
+                        RegT{t_prev + 1, t_prev + 1, 0, 0};
             }
-            bb = fn->block(rp.block);
+            bb = fn->block(done.ret_block);
             if (!bb) {
                 res.fail(RunStatus::Faulted, "return to dead block");
                 return GroupExit::Failed;
             }
             db = &dfn->block(bb->id);
-            gi = rp.group;
+            gi = static_cast<uint32_t>(done.ret_pos);
             break;
           }
         }

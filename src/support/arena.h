@@ -70,16 +70,15 @@ class ArenaBudgetExceeded : public std::runtime_error
               "arena budget exceeded: " + std::to_string(live) +
               " bytes live + " + std::to_string(requested) +
               " requested > " + std::to_string(budget) + " byte budget"),
-          requested_(requested), live_(live), budget_(budget)
+          requested_(requested), budget_(budget)
     {
     }
 
     uint64_t requested() const { return requested_; }
-    uint64_t live() const { return live_; }
     uint64_t budget() const { return budget_; }
 
   private:
-    uint64_t requested_, live_, budget_;
+    uint64_t requested_, budget_;
 };
 
 /**
@@ -102,11 +101,6 @@ struct ArenaCounters
         rollbacks += o.rollbacks;
         bytes_reclaimed += o.bytes_reclaimed;
         return *this;
-    }
-    bool
-    any() const
-    {
-        return bytes_allocated || chunks || rollbacks || bytes_reclaimed;
     }
 };
 
@@ -229,7 +223,6 @@ class Arena
      * (e.g. for a rollback) after the throw.
      */
     void setByteBudget(uint64_t bytes) { budget_ = bytes; }
-    uint64_t byteBudget() const { return budget_; }
 
   private:
     struct Chunk

@@ -75,7 +75,6 @@ class RunManifest
     void record(const std::string &key, const std::string &record_json);
 
     size_t size() const;
-    const std::string &path() const { return path_; }
 
   private:
     mutable std::mutex mu_;

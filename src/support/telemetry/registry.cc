@@ -118,30 +118,6 @@ StatsRegistry::checkInvariants() const
 }
 
 std::string
-StatsRegistry::dump() const
-{
-    std::ostringstream os;
-    for (const auto &[path, s] : stats_) {
-        if (s.is_float) {
-            char buf[64];
-            std::snprintf(buf, sizeof buf, "%.3f", s.f);
-            os << path << " " << buf;
-        } else {
-            os << path << " " << s.i;
-        }
-        if (s.flags & kStatVolatile)
-            os << "  [volatile]";
-        os << "\n";
-    }
-    const std::vector<std::string> bad = checkInvariants();
-    os << "invariants: " << (invariants_.size() - bad.size()) << "/"
-       << invariants_.size() << " hold\n";
-    for (const std::string &v : bad)
-        os << "  " << v << "\n";
-    return os.str();
-}
-
-std::string
 StatsRegistry::jsonObject(bool include_volatile) const
 {
     std::ostringstream os;

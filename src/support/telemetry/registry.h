@@ -8,7 +8,7 @@
  * namespace. Alongside the values, a registry carries *declared
  * invariants*: sum constraints ("every stat under `sim.cycles.` sums to
  * `sim.cycles_total`", "per-pass instruction deltas sum to
- * `compile.instr_delta_total`") that are checked at dump/serialization
+ * `compile.instr_delta_total`") that are checked at serialization
  * time, so a counter that silently drifts out of its category breaks
  * the run loudly instead of skewing a figure quietly.
  *
@@ -18,7 +18,7 @@
  *    checked on.
  *  - float stats: measured quantities (wall times). These are flagged
  *    kVolatile at registration and excluded from deterministic
- *    snapshots; humans read them in dump().
+ *    snapshots; only jsonObject(true) includes them.
  *
  * The registry is a value type: experiment code builds one per run
  * record from the existing stat structs (Perfmon, PipelineStats,
@@ -96,18 +96,12 @@ class StatsRegistry
 
     /**
      * Check every declared invariant; returns one human-readable
-     * violation string per failure (empty = all hold). Called by
-     * dump() and the artifact writers.
+     * violation string per failure (empty = all hold). Called by the
+     * artifact writers.
      */
     std::vector<std::string> checkInvariants() const;
 
-    // ---- Dump / reset discipline ----
-    /**
-     * Human-readable dump: one `path value` line per stat in canonical
-     * order, volatile stats included, followed by invariant status.
-     */
-    std::string dump() const;
-
+    // ---- Serialization / reset ----
     /**
      * Deterministic flat JSON object of the registry:
      * `{"a.b":1,"a.c":2}` in canonical path order. Volatile stats are

@@ -226,6 +226,17 @@ expectSlotZero(const Frame &f)
     EXPECT_TRUE(f.readPr(kPrTrue));
 }
 
+/** The `n`-th call instruction of `f`'s entry block. */
+const Instruction &
+nthCall(const Function &f, int n)
+{
+    for (const Instruction &inst : f.block(f.entry)->instrs)
+        if (inst.op == Opcode::BR_CALL && n-- == 0)
+            return inst;
+    ADD_FAILURE() << "no such call";
+    return f.block(f.entry)->instrs[0];
+}
+
 TEST(FastPathTest, FrameSlotZeroSurvivesResetAndPooledReuse)
 {
     Program p;
@@ -237,30 +248,53 @@ TEST(FastPathTest, FrameSlotZeroSurvivesResetAndPooledReuse)
     for (int i = 0; i < 300; ++i) // virtual registers past the phys file
         acc = b.addi(acc, i);
     b.ret(acc);
+    Function *mainf = b.beginFunction("main", 0);
+    const Reg x = b.call(small, {});
+    b.ret(b.add(x, b.call(big, {})));
 
-    Frame f(small, 0x1000);
-    expectSlotZero(f);
+    CallStack<Frame> stack(mainf, 8);
+    RunResult res;
+    Frame *f = stack.call(p, nthCall(*mainf, 0), small->id, 0, 1, res);
+    ASSERT_NE(f, nullptr) << res.error;
+    expectSlotZero(*f);
     // Writes to r0/p0 are discarded; other registers take them.
-    f.writeGr(kGrZero, GrVal{5, true});
-    f.writePr(kPrTrue, false);
-    f.writeGr(Reg(RegClass::Gr, 1), GrVal{7, true});
-    f.writePr(Reg(RegClass::Pr, 1), true);
-    expectSlotZero(f);
-    EXPECT_EQ(f.readGr(Reg(RegClass::Gr, 1)).v, 7);
+    f->writeGr(kGrZero, GrVal{5, true});
+    f->writePr(kPrTrue, false);
+    f->writeGr(Reg(RegClass::Gr, 1), GrVal{7, true});
+    f->writePr(Reg(RegClass::Pr, 1), true);
+    expectSlotZero(*f);
+    EXPECT_EQ(f->readGr(Reg(RegClass::Gr, 1)).v, 7);
 
-    // Pooled reuse: the simulators move a frame to a pool on return and
-    // reset it for the next call, possibly of a larger function.
-    std::vector<Frame> pool;
-    pool.push_back(std::move(f));
-    Frame g = std::move(pool.back());
-    pool.pop_back();
-    g.reset(big, 0x2000);
-    expectSlotZero(g);
-    EXPECT_GT(g.gr.size(), 300u);
-    EXPECT_EQ(g.readGr(Reg(RegClass::Gr, 1)).v, 0);
-    EXPECT_FALSE(g.readPr(Reg(RegClass::Pr, 1)));
-    g.reset(small, 0x1000);
-    expectSlotZero(g);
+    // The return leaves the record in its slot, and the caller gets the
+    // value in the call's destination.
+    Effect ret;
+    ret.ctl = Effect::Ctl::Ret;
+    ret.has_ret_val = true;
+    ret.ret_val = GrVal{1, false};
+    EXPECT_EQ(&stack.ret(ret, res), f);
+    ASSERT_EQ(stack.depth(), 1u);
+    EXPECT_EQ(stack.top().readGr(x).v, 1);
+
+    // The next call at that depth, of a larger function, reuses the
+    // slot: reset() grows the files and re-establishes slot 0.
+    big->spill_slots = 3; // the callee's frame sits 32 B below main's
+    Frame *g = stack.call(p, nthCall(*mainf, 1), big->id, 0, 2, res);
+    ASSERT_EQ(g, f) << res.error;
+    expectSlotZero(*g);
+    EXPECT_GT(g->gr.size(), 300u);
+    EXPECT_EQ(g->readGr(Reg(RegClass::Gr, 1)).v, 0);
+    EXPECT_FALSE(g->readGr(Reg(RegClass::Gr, 1)).nat);
+    EXPECT_FALSE(g->readPr(Reg(RegClass::Pr, 1)));
+    EXPECT_EQ(g->sp, stack[0].sp - 32);
+    EXPECT_EQ(g->readGr(kGrSp).v, static_cast<int64_t>(g->sp));
+    EXPECT_EQ(g->ret_pos, 2);
+
+    // And back down to the smaller function.
+    stack.ret(ret, res);
+    Frame *h = stack.call(p, nthCall(*mainf, 0), small->id, 0, 1, res);
+    ASSERT_EQ(h, f) << res.error;
+    expectSlotZero(*h);
+    EXPECT_TRUE(res.error.empty());
 }
 
 /**
@@ -310,36 +344,60 @@ TEST(FastPathTest, SlotZeroHoldsThroughCallsAndCheckpointRestore)
         EXPECT_EQ(r.ret_value, kWant);
     }
 
-    // Timing sim of the compiled program: uninterrupted with
-    // checkpoints, then resumed from the last one (frames rebuilt from
-    // the blob mid-recursion).
+    // Timing sim of the compiled program. The descent's length in
+    // retired ops is where a run whose depth budget stops the call to
+    // sum(0) ends (main plus sum(200)..sum(1) fill 201 frames).
     Compiled c = compileProgram(slotZeroProgram(false), Config::Gcc);
     ASSERT_TRUE(c.fallback.clean());
-    SimCheckpoint ck;
-    TimingResult full;
+    uint64_t descent;
     {
         Memory mem;
         mem.initFromProgram(*c.prog);
         TimingOptions topts;
-        topts.checkpoint_every = 500;
-        topts.checkpoint_out = &ck;
-        full = simulate(*c.prog, mem, topts);
+        topts.max_depth = 201;
+        const TimingResult r = simulate(*c.prog, mem, topts);
+        ASSERT_EQ(r.status, RunStatus::BudgetExceeded) << r.error;
+        descent = r.pm.useful_ops + r.pm.squashed_ops;
     }
-    ASSERT_TRUE(full.ok) << full.error;
-    EXPECT_EQ(full.ret_value, kWant);
-    ASSERT_TRUE(ck.valid());
 
-    Memory mem;
-    mem.initFromProgram(*c.prog);
-    TimingOptions topts;
-    topts.resume_from = &ck;
-    const TimingResult resumed = simulate(*c.prog, mem, topts);
-    ASSERT_TRUE(resumed.ok) << resumed.error;
-    EXPECT_EQ(resumed.ret_value, kWant);
-    CkptWriter wf, wr;
-    saveState(wf, full.pm);
-    saveState(wr, resumed.pm);
-    EXPECT_EQ(wr.take(), wf.take());
+    // For each interval: uninterrupted with checkpoints, then resumed
+    // from the last one (frames rebuilt from the blob mid-recursion).
+    // The intervals put that checkpoint both in the descent, where the
+    // RSE spills, and in the returns, where it fills.
+    int descending = 0, returning = 0;
+    for (const uint64_t every : {97u, 500u, 1000u, 1499u}) {
+        SCOPED_TRACE(every);
+        SimCheckpoint ck;
+        TimingResult full;
+        {
+            Memory mem;
+            mem.initFromProgram(*c.prog);
+            TimingOptions topts;
+            topts.checkpoint_every = every;
+            topts.checkpoint_out = &ck;
+            full = simulate(*c.prog, mem, topts);
+        }
+        ASSERT_TRUE(full.ok) << full.error;
+        EXPECT_EQ(full.ret_value, kWant);
+        EXPECT_GT(full.pm.rse_spill_regs, 0u);
+        EXPECT_GT(full.pm.rse_fill_regs, 0u);
+        ASSERT_TRUE(ck.valid());
+        ++(ck.instrs < descent ? descending : returning);
+
+        Memory mem;
+        mem.initFromProgram(*c.prog);
+        TimingOptions topts;
+        topts.resume_from = &ck;
+        const TimingResult resumed = simulate(*c.prog, mem, topts);
+        ASSERT_TRUE(resumed.ok) << resumed.error;
+        EXPECT_EQ(resumed.ret_value, kWant);
+        CkptWriter wf, wr;
+        saveState(wf, full.pm);
+        saveState(wr, resumed.pm);
+        EXPECT_EQ(wr.take(), wf.take());
+    }
+    EXPECT_GT(descending, 0);
+    EXPECT_GT(returning, 0);
 }
 
 } // namespace

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "ir/builder.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
@@ -187,7 +189,9 @@ TEST(PrinterTest, ProducesText)
     IRBuilder b(p);
     Function *f = b.beginFunction("printme", 1);
     b.ret(b.addi(b.param(0), 5));
-    std::string s = functionToString(*f);
+    std::ostringstream os;
+    printProgram(os, p);
+    const std::string s = os.str();
     EXPECT_NE(s.find("printme"), std::string::npos);
     EXPECT_NE(s.find("addi"), std::string::npos);
     EXPECT_NE(s.find("br.ret"), std::string::npos);

@@ -21,6 +21,8 @@
 #include "sim/interp.h"
 #include "support/faultinject.h"
 #include "support/supervision/manifest.h"
+#include "support/telemetry/artifact.h"
+#include "support/telemetry/registry.h"
 #include "support/telemetry/trace.h"
 #include "support/threadpool.h"
 #include "workloads/workload.h"
@@ -78,16 +80,17 @@ TEST(PipelineTest, RegistryComposesEveryRung)
 
 TEST(PipelineTest, BoundaryAxisCoversInlinePlusRegistry)
 {
-    const std::vector<std::string> &bounds = allPassBoundaries();
-    ASSERT_FALSE(bounds.empty());
-    EXPECT_EQ(bounds.front(), "inline");
-    EXPECT_EQ(bounds.size(), passRegistry().size() + 1);
-    for (size_t i = 0; i < passRegistry().size(); ++i)
-        EXPECT_EQ(bounds[i + 1], passRegistry()[i].name);
-    // Ordering indices follow the axis.
-    for (size_t i = 1; i < bounds.size(); ++i)
-        EXPECT_LT(passOrderIndex(bounds[i - 1]),
-                  passOrderIndex(bounds[i]));
+    // Canonical PipelineStats order: the program-level inline
+    // transaction first, then the registry in pipeline order, then
+    // unknown names.
+    ASSERT_FALSE(passRegistry().empty());
+    EXPECT_EQ(passOrderIndex("inline"), 0);
+    int prev = 0;
+    for (const PassDesc &p : passRegistry()) {
+        EXPECT_LT(prev, passOrderIndex(p.name)) << p.name;
+        prev = passOrderIndex(p.name);
+    }
+    EXPECT_LT(prev, passOrderIndex("no-such-pass"));
 }
 
 TEST(PipelineTest, ParallelForCoversAllAndNests)
@@ -113,6 +116,17 @@ TEST(PipelineTest, ParallelForPropagatesExceptions)
                             throw std::runtime_error("boom");
                     }),
         std::runtime_error);
+}
+
+/** The pipeline's deterministic counters (runs, instruction deltas,
+ *  analysis-cache activity per pass and rung) as the run artifact
+ *  records them: wall times are volatile and left out. */
+std::string
+pipelineCounters(const PipelineStats &pipe)
+{
+    StatsRegistry reg;
+    recordCompile(reg, CompileStats{}, pipe, 0, 0, /*clean=*/false);
+    return reg.jsonObject();
 }
 
 /** Build + profile one workload program. */
@@ -150,7 +164,7 @@ TEST(PipelineTest, ParallelCompileIsBitIdentical)
     EXPECT_EQ(a.stats.sb.traces, b.stats.sb.traces);
     EXPECT_EQ(a.stats.spec.moved, b.stats.spec.moved);
     EXPECT_EQ(a.stats.ra.spilled, b.stats.ra.spilled);
-    EXPECT_EQ(a.pipeline.counterStr(), b.pipeline.counterStr());
+    EXPECT_EQ(pipelineCounters(a.pipeline), pipelineCounters(b.pipeline));
 
     // The strongest form: the emitted programs are identical down to
     // the schedule annotations.
@@ -283,7 +297,7 @@ digest(const WorkloadRuns &runs)
            << " cyc=" << r.pm.total() << " instrs=" << r.instrs_final
            << " sb=" << r.stats.sb.traces << " ra=" << r.stats.ra.spilled
            << "\n";
-        os << r.pipeline.counterStr();
+        os << pipelineCounters(r.pipeline) << "\n";
     }
     for (const FallbackEvent &e : runs.fallback.events)
         os << e.str() << "\n";
@@ -291,7 +305,7 @@ digest(const WorkloadRuns &runs)
        << runs.fallback.functions_degraded << "/"
        << runs.fallback.faults_injected << "/"
        << runs.fallback.faults_caught << "\n";
-    os << runs.pipeline.counterStr();
+    os << pipelineCounters(runs.pipeline) << "\n";
     return os.str();
 }
 
@@ -406,7 +420,8 @@ TEST(PipelineTest, ParanoidVerifyIsOptionalAndHarmless)
     opts.firewall.paranoid = true;
     Compiled checked = compileProgram(*src, opts); // must not die
     EXPECT_EQ(fast.instrs_final, checked.instrs_final);
-    EXPECT_EQ(fast.pipeline.counterStr(), checked.pipeline.counterStr());
+    EXPECT_EQ(pipelineCounters(fast.pipeline),
+              pipelineCounters(checked.pipeline));
 }
 
 } // namespace

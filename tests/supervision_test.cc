@@ -137,9 +137,49 @@ TEST(SupervisionTest, CallDepthBudgetIsStructured)
     InterpResult r = interpret(p, mem, io);
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.status, RunStatus::BudgetExceeded);
-    EXPECT_NE(r.error.find("call depth limit exceeded"),
-              std::string::npos)
-        << r.error;
+    EXPECT_EQ(r.error, "call depth limit exceeded (64) in rec");
+
+    // The timing sim runs the same call sequence.
+    Compiled c = compileProgram(p, Config::Gcc);
+    ASSERT_TRUE(c.fallback.clean());
+    Memory tmem;
+    tmem.initFromProgram(*c.prog);
+    TimingOptions topts;
+    topts.max_depth = 64;
+    TimingResult t = simulate(*c.prog, tmem, topts);
+    EXPECT_FALSE(t.ok);
+    EXPECT_EQ(t.status, r.status);
+    EXPECT_EQ(t.error, r.error);
+}
+
+TEST(SupervisionTest, IndirectCallArityMismatchFaultsInBothSims)
+{
+    // The verifier does not check arity, so the mismatch surfaces only
+    // when the call runs.
+    Program p;
+    IRBuilder b(p);
+    Function *two = b.beginFunction("two", 2);
+    b.ret(b.add(b.param(0), b.param(1)));
+    Function *mainf = b.beginFunction("main", 0);
+    b.ret(b.icall(b.movfn(two), {b.movi(1)}));
+    p.entry_func = mainf->id;
+    p.layoutData();
+
+    Memory mem;
+    mem.initFromProgram(p);
+    InterpResult r = interpret(p, mem);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.status, RunStatus::Faulted);
+    EXPECT_EQ(r.error, "arity mismatch calling two");
+
+    Compiled c = compileProgram(p, Config::Gcc);
+    ASSERT_TRUE(c.fallback.clean());
+    Memory tmem;
+    tmem.initFromProgram(*c.prog);
+    TimingResult t = simulate(*c.prog, tmem);
+    EXPECT_FALSE(t.ok);
+    EXPECT_EQ(t.status, r.status);
+    EXPECT_EQ(t.error, r.error);
 }
 
 TEST(SupervisionTest, HeapPageBudgetIsStructured)

@@ -74,11 +74,9 @@ TEST(TelemetryTest, SumInvariantFiresOnMismatch)
     ASSERT_EQ(bad.size(), 1u);
     EXPECT_NE(bad[0].find("cycle-categories-sum"), std::string::npos);
     EXPECT_NE(bad[0].find("101"), std::string::npos);
-    EXPECT_NE(reg.dump().find("invariants: 0/1 hold"), std::string::npos);
 
     reg.setInt("sim.cycles_total", 101);
     EXPECT_TRUE(reg.checkInvariants().empty());
-    EXPECT_NE(reg.dump().find("invariants: 1/1 hold"), std::string::npos);
 }
 
 TEST(TelemetryTest, SuffixFilteredInvariant)

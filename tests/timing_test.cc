@@ -245,6 +245,61 @@ TEST(TimingTest, WildLoadsGeneralVsSentinel)
     EXPECT_EQ(rns.ret_value, rg.ret_value);
 }
 
+TEST(TimingTest, NatAddressDeferralIsNotAWildLoad)
+{
+    // A speculative load from an unmapped page defers (wild); a second
+    // one takes its address from the first, so it defers on a NaT
+    // address without touching memory. Only the first is wild.
+    Program p;
+    IRBuilder b(p);
+    Function *f = b.beginFunction("main", 0);
+    auto specLoad = [&](Reg addr) {
+        Instruction ld;
+        ld.op = Opcode::LD;
+        ld.spec = true;
+        const Reg d = b.gr();
+        ld.dests = {d};
+        ld.srcs = {Operand::makeReg(addr)};
+        b.emit(ld);
+        return d;
+    };
+    const Reg wild = specLoad(b.movi(0x50000000));
+    const Reg nat = specLoad(wild);
+    auto [pt, pf] = b.cmpi(CmpCond::EQ, nat, 1); // NaT clears both
+    Reg out = b.gr();
+    b.moviTo(out, 7);
+    b.moviTo(out, 1, pt);
+    b.moviTo(out, 2, pf);
+    b.ret(out);
+    p.entry_func = f->id;
+    p.layoutData();
+
+    Compiled c = compileProgram(p, Config::Gcc);
+    ASSERT_TRUE(c.fallback.clean());
+    Memory imem;
+    imem.initFromProgram(*c.prog);
+    InterpOptions io;
+    io.scheduled_order = true;
+    const InterpResult ir = interpret(*c.prog, imem, io);
+    ASSERT_TRUE(ir.ok) << ir.error;
+    EXPECT_EQ(ir.ret_value, 7);
+    EXPECT_GT(ir.deferred_loads, ir.wild_loads + ir.null_page_loads);
+
+    Memory mem;
+    mem.initFromProgram(*c.prog);
+    const TimingOptions topts;
+    const TimingResult r = simulate(*c.prog, mem, topts);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.ret_value, 7);
+    EXPECT_EQ(r.pm.wild_loads, ir.wild_loads);
+    EXPECT_EQ(r.pm.null_page_loads, ir.null_page_loads);
+    // Under General deferral each wild load is one OS page walk; the
+    // NaT-address deferral adds none.
+    EXPECT_EQ(r.pm.get(CycleCat::Kernel),
+              r.pm.wild_loads *
+                  static_cast<uint64_t>(topts.mach.os_walk_cycles));
+}
+
 TEST(TimingTest, StoreToLoadForwardingConflicts)
 {
     // Alternating store/load to addresses that share the micropipe
