@@ -176,6 +176,36 @@ recordInt(const std::string &rec, const std::string &key)
     return std::strtoll(rec.c_str() + p + tag.size(), nullptr, 10);
 }
 
+/** String field `key` of a stored manifest record, its jsonEscape()
+ *  undone ("" when absent). */
+std::string
+recordString(const std::string &rec, const std::string &key)
+{
+    const std::string tag = "\"" + key + "\":\"";
+    size_t p = rec.find(tag);
+    std::string out;
+    if (p == std::string::npos)
+        return out;
+    for (p += tag.size(); p < rec.size() && rec[p] != '"'; ++p) {
+        if (rec[p] != '\\' || p + 1 == rec.size()) {
+            out += rec[p];
+            continue;
+        }
+        switch (rec[++p]) {
+          case 'n': out += '\n'; break;
+          case 't': out += '\t'; break;
+          case 'r': out += '\r'; break;
+          case 'u':
+            out += static_cast<char>(
+                std::strtol(rec.substr(p + 1, 4).c_str(), nullptr, 16));
+            p += 4;
+            break;
+          default: out += rec[p]; break; // \" and \\ stand for themselves
+        }
+    }
+    return out;
+}
+
 /** Fresh input image for the compiled program. */
 void
 buildImage(const Workload &w, const Program &prog, Memory &mem,
@@ -195,8 +225,7 @@ resumedRun(Config cfg, const std::string &rec)
     r.record_json = rec;
     r.ok = recordSaysOk(rec);
     r.checksum = recordInt(rec, "checksum");
-    if (!r.ok)
-        r.error = "failed in a previous run (resumed manifest record)";
+    r.error = recordString(rec, "error");
     // What the fleet report prints of a run.
     for (int c = 0; c < Perfmon::kNumCats; ++c)
         r.pm.cycles[c] = static_cast<uint64_t>(recordInt(

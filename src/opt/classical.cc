@@ -1,5 +1,6 @@
 #include "opt/classical.h"
 
+#include <array>
 #include <map>
 #include <optional>
 #include <vector>
@@ -509,9 +510,11 @@ localCse(Function &f, const AliasAnalysis &aa)
 {
     OptStats stats;
     // An available value: the register that holds it and the recorded
-    // instruction (its index in `out`; the instruction is its own key),
-    // with the key's hash and register-name filter bits so that scans
-    // touch the instruction only on a likely match.
+    // instruction (its index in the block; the instruction is its own
+    // key), with the key's hash and register-name filter bits so that
+    // scans touch the instruction only on a likely match. A hit becomes
+    // a MOV in place and is never recorded, so a recorded instruction
+    // stays as it was.
     struct Avail
     {
         Reg value;
@@ -521,35 +524,34 @@ localCse(Function &f, const AliasAnalysis &aa)
     };
     std::vector<Avail> avail; ///< pure ALU expressions
     std::vector<Avail> loads; ///< loads, also killed by stores/calls
-    std::vector<Instruction> out;
-
-    auto find = [&](const std::vector<Avail> &table, const Instruction &inst,
-                    uint64_t hash) -> const Avail * {
-        for (const Avail &a : table)
-            if (a.hash == hash && sameExpr(out[a.at], inst))
-                return &a;
-        return nullptr;
-    };
-    auto kill = [&](Reg d) {
-        const uint64_t bit = nameBit(d.cls, d.id);
-        auto stale = [&](const Avail &a) {
-            return a.value == d ||
-                   ((a.names & bit) && readsReg(out[a.at], d));
-        };
-        std::erase_if(avail, stale);
-        std::erase_if(loads, stale);
-    };
 
     for (auto &bp : f.blocks) {
         if (!bp)
             continue;
-        BasicBlock &b = *bp;
+        ArenaVec<Instruction> &instrs = bp->instrs;
         avail.clear();
         loads.clear();
-        out.clear();
-        out.reserve(b.instrs.size());
 
-        for (Instruction inst : b.instrs) {
+        auto find = [&](const std::vector<Avail> &table,
+                        const Instruction &inst,
+                        uint64_t hash) -> const Avail * {
+            for (const Avail &a : table)
+                if (a.hash == hash && sameExpr(instrs[a.at], inst))
+                    return &a;
+            return nullptr;
+        };
+        auto kill = [&](Reg d) {
+            const uint64_t bit = nameBit(d.cls, d.id);
+            auto stale = [&](const Avail &a) {
+                return a.value == d ||
+                       ((a.names & bit) && readsReg(instrs[a.at], d));
+            };
+            std::erase_if(avail, stale);
+            std::erase_if(loads, stale);
+        };
+
+        for (uint32_t k = 0; k < instrs.size(); ++k) {
+            Instruction &inst = instrs[k];
             // 1. Try to replace with an available value.
             const bool cse_alu = isPureAlu(inst) && !inst.hasGuard() &&
                                  inst.dests.size() == 1;
@@ -565,7 +567,7 @@ localCse(Function &f, const AliasAnalysis &aa)
                     mv.op = Opcode::MOV;
                     mv.dests = inst.dests;
                     mv.srcs = {Operand::makeReg(hit->value)};
-                    out.push_back(mv);
+                    inst = mv;
                     ++stats.cse_removed;
                     // The replacement MOV redefines the dest: kill stale
                     // facts about it.
@@ -579,11 +581,11 @@ localCse(Function &f, const AliasAnalysis &aa)
                 kill(d);
             if (inst.isStore()) {
                 std::erase_if(loads, [&](const Avail &a) {
-                    return aa.mayAlias(f, inst, out[a.at]);
+                    return aa.mayAlias(f, inst, instrs[a.at]);
                 });
             } else if (inst.isCall()) {
                 std::erase_if(loads, [&](const Avail &a) {
-                    return aa.callMayTouch(inst, out[a.at]);
+                    return aa.callMayTouch(inst, instrs[a.at]);
                 });
             }
 
@@ -597,12 +599,9 @@ localCse(Function &f, const AliasAnalysis &aa)
                     self_ref = self_ref || readsReg(inst, d);
                 if (!self_ref)
                     table->push_back(
-                        Avail{inst.dests[0], static_cast<uint32_t>(out.size()),
-                              hash, nameBits(inst)});
+                        Avail{inst.dests[0], k, hash, nameBits(inst)});
             }
-            out.push_back(inst);
         }
-        b.instrs = out;
     }
     return stats;
 }
@@ -673,11 +672,22 @@ licm(Function &f, AnalysisManager &am)
     OptStats stats;
     const AliasAnalysis &aa = am.alias();
     const LoopForest &forest = am.loopForest();
+    // Defs of each register in the loop, dense per class by register
+    // id (an id past the end has none yet).
+    std::array<std::vector<int>, kNumRegClasses> def_count;
+    auto defs_of = [&](Reg r) -> int & {
+        std::vector<int> &v = def_count[static_cast<int>(r.cls)];
+        if (static_cast<size_t>(r.id) >= v.size())
+            v.resize(r.id + 1, 0);
+        return v[r.id];
+    };
+    std::vector<char> hoist;
 
     for (const Loop &loop : forest.loops()) {
         // Collect loop-wide facts.
         bool loop_has_store = false, loop_has_call = false;
-        std::map<Reg, int> def_count;
+        for (std::vector<int> &v : def_count)
+            std::fill(v.begin(), v.end(), 0);
         std::vector<const Instruction *> loop_stores;
         for (int bid : loop.blocks) {
             const BasicBlock *b = f.block(bid);
@@ -685,7 +695,7 @@ licm(Function &f, AnalysisManager &am)
                 continue;
             for (const Instruction &inst : b->instrs) {
                 for (const Reg &d : inst.dests)
-                    def_count[d]++;
+                    ++defs_of(d);
                 if (inst.isStore()) {
                     loop_has_store = true;
                     loop_stores.push_back(&inst);
@@ -701,10 +711,11 @@ licm(Function &f, AnalysisManager &am)
         if (!header)
             continue;
 
-        std::vector<Instruction> hoisted;
-        std::vector<Instruction> rest;
+        hoist.assign(header->instrs.size(), false);
+        int moved = 0;
         bool past_branch = false;
-        for (Instruction &inst : header->instrs) {
+        for (uint32_t k = 0; k < header->instrs.size(); ++k) {
+            const Instruction &inst = header->instrs[k];
             bool can = !past_branch && !inst.hasGuard() &&
                        !inst.isBranch() && !inst.info().has_side_effect &&
                        !inst.dests.empty();
@@ -713,14 +724,12 @@ licm(Function &f, AnalysisManager &am)
             if (can) {
                 // Sources must be loop-invariant.
                 for (const Operand &o : inst.srcs) {
-                    if (o.isReg() && o.reg != kGrZero &&
-                        def_count.count(o.reg) && def_count[o.reg] > 0) {
+                    if (o.isReg() && o.reg != kGrZero && defs_of(o.reg) > 0)
                         can = false;
-                    }
                 }
                 // Destination must have exactly one def in the loop.
                 for (const Reg &d : inst.dests)
-                    if (def_count[d] != 1)
+                    if (defs_of(d) != 1)
                         can = false;
                 // Loads need no conflicting stores/calls in the loop.
                 if (inst.isLoad()) {
@@ -736,16 +745,18 @@ licm(Function &f, AnalysisManager &am)
             if (can) {
                 // Update def counts so dependent hoists chain.
                 for (const Reg &d : inst.dests)
-                    def_count[d] = 0;
-                hoisted.push_back(inst);
-                ++stats.licm_moved;
-            } else {
-                rest.push_back(inst);
+                    defs_of(d) = 0;
+                hoist[k] = true;
+                ++moved;
             }
         }
-        if (hoisted.empty())
+        if (moved == 0)
             continue;
-        header->instrs = std::move(rest);
+        stats.licm_moved += moved;
+        std::vector<Instruction> hoisted, rest;
+        for (uint32_t k = 0; k < header->instrs.size(); ++k)
+            (hoist[k] ? hoisted : rest).push_back(header->instrs[k]);
+        header->instrs = rest;
 
         // Build (or reuse) a preheader: redirect all non-latch preds.
         BasicBlock *pre = f.newBlock();

@@ -81,8 +81,28 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
     std::vector<int> last_def(slot_base.back(), -1);
     std::vector<int> last_use(slot_base.back(), -1);
     std::vector<int> prev_def(defs.size()), prev_use(uses.size());
-    // One chain cursor per register i names: {occurrence, is a use}.
-    std::vector<std::pair<int, bool>> chains;
+    // Where each register's chains may stop (see the walk below): the
+    // nearest def of it whose effective guard is p0 (-1: none yet), and
+    // the earliest def of it with a latency above 1 (n_: none).
+    std::vector<int> cut_at(slot_base.back(), -1);
+    std::vector<int> slow_from(slot_base.back(), n_);
+    // One chain cursor per register i names: the next occurrence to
+    // visit (-1: none), whether it is a use, and the nearest instruction
+    // the walk still visits.
+    struct Cursor
+    {
+        int occ;
+        bool is_use;
+        int stop;
+    };
+    std::vector<Cursor> chains;
+    // The instruction of c's next occurrence; -1 once c is done.
+    auto next_at = [&](const Cursor &c) {
+        if (c.occ < 0)
+            return -1;
+        const int k = c.is_use ? use_at[c.occ] : def_at[c.occ];
+        return k >= c.stop ? k : -1;
+    };
 
     // Every edge into `to` is added while `to` is the instruction being
     // processed, so the id of the edge from each earlier op (-1: none
@@ -120,26 +140,40 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
         // names one i defines (WAR, WAW) can gain a register edge. Visit
         // them nearest first, which is the order the edges are added in:
         // merge the register chains, each newest first.
+        //
+        // A register's chains stop at its nearest def k whose effective
+        // guard is p0 (k itself is visited). Every edge from an earlier
+        // j on that register is implied by a path through k that is at
+        // least as long: k is disjoint from nothing, so the DAG holds
+        // j -> k (WAW 1 from a def of j, WAR 0 from a use) and k -> i
+        // (RAW from k's latency or 0, WAW 1). So a WAW j -> i (1) has
+        // j -> k -> i of 2, a WAR (0) has at least 1, and a RAW from a
+        // def of latency 1 has at least 1 + 0. Only a RAW from a slower
+        // def (mul, div, rem) can outweigh its path, so a register's
+        // RAW chain runs on down to its earliest such def.
         chains.clear();
-        for (int o = use_off[i]; o < use_off[i + 1]; ++o)
-            chains.push_back({last_def[slot(uses[o])], false});
+        for (int o = use_off[i]; o < use_off[i + 1]; ++o) {
+            const int s = slot(uses[o]);
+            chains.push_back(
+                {last_def[s], false, std::min(cut_at[s], slow_from[s])});
+        }
         for (int o = def_off[i]; o < def_off[i + 1]; ++o) {
-            chains.push_back({last_use[slot(defs[o])], true});
-            chains.push_back({last_def[slot(defs[o])], false});
+            const int s = slot(defs[o]);
+            chains.push_back({last_use[s], true, cut_at[s]});
+            chains.push_back({last_def[s], false, cut_at[s]});
         }
         for (int prev_j = -1;;) {
             int best = -1, j = -1;
             for (int c = 0; c < static_cast<int>(chains.size()); ++c) {
-                auto [occ, is_use] = chains[c];
-                if (occ >= 0 && (is_use ? use_at[occ] : def_at[occ]) > j) {
-                    j = is_use ? use_at[occ] : def_at[occ];
+                if (const int k = next_at(chains[c]); k > j) {
+                    j = k;
                     best = c;
                 }
             }
             if (best < 0)
                 break;
-            auto &[occ, is_use] = chains[best];
-            occ = is_use ? prev_use[occ] : prev_def[occ];
+            Cursor &cur = chains[best];
+            cur.occ = cur.is_use ? prev_use[cur.occ] : prev_def[cur.occ];
             if (j == prev_j)
                 continue;
             prev_j = j;
@@ -204,8 +238,16 @@ DepDag::DepDag(const Function &f, const BasicBlock &b,
             }
         }
 
-        for (int o = def_off[i]; o < def_off[i + 1]; ++o)
-            prev_def[o] = std::exchange(last_def[slot(defs[o])], o);
+        const bool cuts = effectiveGuard(ii) == kPrTrue;
+        const bool slow = opLatency(mach, ii.op) > 1;
+        for (int o = def_off[i]; o < def_off[i + 1]; ++o) {
+            const int s = slot(defs[o]);
+            prev_def[o] = std::exchange(last_def[s], o);
+            if (cuts)
+                cut_at[s] = i;
+            if (slow)
+                slow_from[s] = std::min(slow_from[s], i);
+        }
         for (int o = use_off[i]; o < use_off[i + 1]; ++o)
             prev_use[o] = std::exchange(last_use[slot(uses[o])], o);
 

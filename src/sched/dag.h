@@ -9,6 +9,11 @@
  * transform, which runs before scheduling and reorders the instruction
  * list itself).
  *
+ * Register edges that a path through a nearer unguarded def of the
+ * same register implies are left out (see DepDag's constructor): every
+ * longest path and every height is the full DAG's, which is all the
+ * list scheduler reads besides each op's predecessor count.
+ *
  * Latency semantics of an edge (from -> to, lat):
  *   cycle(to) >= cycle(from) + lat. A latency of 0 permits same-group
  * placement (used for op->branch ordering and the IA-64

@@ -315,8 +315,6 @@ recordCompile(StatsRegistry &reg, const CompileStats &stats,
                                  "." + configName(s.rung);
         reg.setInt(base + ".runs", s.runs);
         reg.setInt(base + ".instr_delta", s.instr_delta);
-        reg.setFloat(base + ".run_ms", s.run_ms, kStatVolatile);
-        reg.setFloat(base + ".verify_ms", s.verify_ms, kStatVolatile);
         // Analysis-cache activity per pass x kind; quiet kinds are
         // omitted to keep the artifact from ballooning. Deterministic
         // (hit/miss accounting is mode-invariant by design).

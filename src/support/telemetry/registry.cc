@@ -1,63 +1,41 @@
 #include "support/telemetry/registry.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <limits>
 #include <sstream>
 
 namespace epic {
 
 void
-StatsRegistry::setInt(const std::string &path, int64_t v, unsigned flags)
+StatsRegistry::setInt(const std::string &path, int64_t v)
 {
-    Stat &s = stats_[path];
-    s.is_float = false;
-    s.i = v;
-    s.flags = flags;
+    stats_[path] = v;
 }
 
 void
-StatsRegistry::addInt(const std::string &path, int64_t delta,
-                      unsigned flags)
+StatsRegistry::addInt(const std::string &path, int64_t delta)
 {
-    Stat &s = stats_[path];
-    s.is_float = false;
-    s.i += delta;
-    s.flags = flags;
+    stats_[path] += delta;
 }
 
 void
-StatsRegistry::setFloat(const std::string &path, double v, unsigned flags)
+StatsRegistry::addSample(const std::string &path, int64_t v)
 {
-    Stat &s = stats_[path];
-    s.is_float = true;
-    s.f = v;
-    s.flags = flags;
-}
-
-void
-StatsRegistry::addSample(const std::string &path, int64_t v,
-                         unsigned flags)
-{
-    Stat &count = stats_[path + ".count"];
-    const bool first = !count.is_float && count.i == 0;
-    count.i += 1;
-    count.flags = flags;
-    addInt(path + ".sum", v, flags);
-    Stat &mn = stats_[path + ".min"];
-    Stat &mx = stats_[path + ".max"];
-    if (first || v < mn.i)
-        mn.i = v;
-    if (first || v > mx.i)
-        mx.i = v;
-    mn.flags = mx.flags = flags;
+    int64_t &count = stats_[path + ".count"];
+    const bool first = count == 0;
+    count += 1;
+    addInt(path + ".sum", v);
+    int64_t &mn = stats_[path + ".min"];
+    int64_t &mx = stats_[path + ".max"];
+    if (first || v < mn)
+        mn = v;
+    if (first || v > mx)
+        mx = v;
 }
 
 int64_t
 StatsRegistry::getInt(const std::string &path) const
 {
     auto it = stats_.find(path);
-    return it == stats_.end() ? 0 : it->second.i;
+    return it == stats_.end() ? 0 : it->second;
 }
 
 void
@@ -95,10 +73,9 @@ StatsRegistry::checkInvariants() const
              it->first.compare(0, inv.addend_prefix.size(),
                                inv.addend_prefix) == 0;
              ++it) {
-            if (it->second.is_float ||
-                !endsWith(it->first, inv.addend_suffix))
+            if (!endsWith(it->first, inv.addend_suffix))
                 continue;
-            sum += it->second.i;
+            sum += it->second;
             ++matched;
         }
         const int64_t total = getInt(inv.total_path);
@@ -118,25 +95,16 @@ StatsRegistry::checkInvariants() const
 }
 
 std::string
-StatsRegistry::jsonObject(bool include_volatile) const
+StatsRegistry::jsonObject() const
 {
     std::ostringstream os;
     os << "{";
     bool first = true;
-    for (const auto &[path, s] : stats_) {
-        if ((s.flags & kStatVolatile) && !include_volatile)
-            continue;
+    for (const auto &[path, v] : stats_) {
         if (!first)
             os << ",";
         first = false;
-        os << "\"" << path << "\":";
-        if (s.is_float) {
-            char buf[64];
-            std::snprintf(buf, sizeof buf, "%.17g", s.f);
-            os << buf;
-        } else {
-            os << s.i;
-        }
+        os << "\"" << path << "\":" << v;
     }
     os << "}";
     return os.str();
@@ -145,10 +113,8 @@ StatsRegistry::jsonObject(bool include_volatile) const
 void
 StatsRegistry::reset()
 {
-    for (auto &[path, s] : stats_) {
-        s.i = 0;
-        s.f = 0.0;
-    }
+    for (auto &[path, v] : stats_)
+        v = 0;
 }
 
 } // namespace epic

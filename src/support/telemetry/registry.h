@@ -12,13 +12,9 @@
  * time, so a counter that silently drifts out of its category breaks
  * the run loudly instead of skewing a figure quietly.
  *
- * Two value domains:
- *  - integer stats: deterministic counters; these are what the JSONL
- *    run artifacts carry and what byte-identity across --jobs is
- *    checked on.
- *  - float stats: measured quantities (wall times). These are flagged
- *    kVolatile at registration and excluded from deterministic
- *    snapshots; only jsonObject(true) includes them.
+ * Every value is a deterministic integer: the JSONL run artifacts carry
+ * them, and byte-identity across --jobs is checked on them. Measured
+ * wall times stay in PipelineStats and the trace timeline.
  *
  * The registry is a value type: experiment code builds one per run
  * record from the existing stat structs (Perfmon, PipelineStats,
@@ -35,27 +31,10 @@
 
 namespace epic {
 
-/** Registration flags. */
-enum StatFlags : unsigned {
-    kStatNone = 0,
-    /// Measured, run-to-run-varying value (wall time): kept out of
-    /// deterministic snapshots and JSONL artifacts.
-    kStatVolatile = 1u << 0,
-};
-
 /** Named counters/scalars plus declared invariants. */
 class StatsRegistry
 {
   public:
-    /** One registered value. */
-    struct Stat
-    {
-        bool is_float = false;
-        int64_t i = 0;
-        double f = 0.0;
-        unsigned flags = kStatNone;
-    };
-
     /**
      * Declared sum constraint: every integer stat whose path starts
      * with `addend_prefix` (and, when non-empty, ends with
@@ -70,19 +49,14 @@ class StatsRegistry
     };
 
     // ---- Registration / update ----
-    void setInt(const std::string &path, int64_t v,
-                unsigned flags = kStatNone);
-    void addInt(const std::string &path, int64_t delta,
-                unsigned flags = kStatNone);
-    void setFloat(const std::string &path, double v,
-                  unsigned flags = kStatVolatile);
+    void setInt(const std::string &path, int64_t v);
+    void addInt(const std::string &path, int64_t delta);
 
     /**
      * Distribution sample over an integer domain: maintains
      * `path.count`, `path.sum`, `path.min`, `path.max` sub-stats.
      */
-    void addSample(const std::string &path, int64_t v,
-                   unsigned flags = kStatNone);
+    void addSample(const std::string &path, int64_t v);
 
     // ---- Lookup ----
     /** Integer value at `path`; 0 when absent (like a zero counter). */
@@ -104,17 +78,15 @@ class StatsRegistry
     // ---- Serialization / reset ----
     /**
      * Deterministic flat JSON object of the registry:
-     * `{"a.b":1,"a.c":2}` in canonical path order. Volatile stats are
-     * excluded unless `include_volatile`; non-volatile floats print
-     * with round-trip precision.
+     * `{"a.b":1,"a.c":2}` in canonical path order.
      */
-    std::string jsonObject(bool include_volatile = false) const;
+    std::string jsonObject() const;
 
     /** Zero every value; registrations and invariants survive. */
     void reset();
 
   private:
-    std::map<std::string, Stat> stats_;
+    std::map<std::string, int64_t> stats_;
     std::vector<SumInvariant> invariants_;
 };
 

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -462,15 +463,16 @@ TEST(RegAllocTest, CallsPreserveFramePrivacy)
     EXPECT_EQ(runOrder(p, true), before);
 }
 
-TEST(SchedTest, DagAdjacencyMatchesEdgeList)
+/**
+ * Calls visit(where, f, b, aa, prel) for every scheduled block of the
+ * 12 workloads compiled at each of the 5 rungs.
+ */
+template <typename Visit>
+void
+forEachScheduledBlock(Visit visit)
 {
-    // DepDag keeps each instruction's predecessors as one edge-id range
-    // and its successors as a CSR row. Both must list exactly the edges
-    // of edges() that enter or leave the instruction, in edge-id order.
     const Config rungs[] = {Config::Gcc, Config::ONS, Config::IlpNs,
                             Config::IlpCs, Config::IlpCsDs};
-    const MachineConfig mach;
-    int blocks = 0;
     for (const Workload &w : allWorkloads()) {
         const ProfiledSource src = prepareWorkload(w, RunOptions{});
         ASSERT_TRUE(src.prog) << w.name << ": " << src.error;
@@ -484,34 +486,332 @@ TEST(SchedTest, DagAdjacencyMatchesEdgeList)
                 for (const BasicBlock *b : fp->blocks) {
                     if (!b || b->bundles.empty())
                         continue;
-                    DepDag dag(*fp, *b, aa, mach, am.predRelations(b->id));
-                    std::vector<std::vector<int>> preds(dag.size()),
-                        succs(dag.size());
-                    for (int e = 0; e < static_cast<int>(dag.edges().size());
-                         ++e) {
-                        preds[dag.edges()[e].to].push_back(e);
-                        succs[dag.edges()[e].from].push_back(e);
-                    }
-                    for (int i = 0; i < dag.size(); ++i) {
-                        std::vector<int> p, s;
-                        const EdgeIdRange r = dag.predEdges(i);
-                        for (int e = r.first; e < r.last; ++e)
-                            p.push_back(e);
-                        for (int e : dag.succEdges(i))
-                            s.push_back(e);
-                        ASSERT_EQ(p, preds[i])
-                            << w.name << " " << configName(c) << " "
-                            << fp->name << " bb" << b->id << " op " << i;
-                        ASSERT_EQ(s, succs[i])
-                            << w.name << " " << configName(c) << " "
-                            << fp->name << " bb" << b->id << " op " << i;
-                    }
-                    ++blocks;
+                    const std::string where = w.name + " " +
+                                              configName(c) + " " +
+                                              fp->name + " bb" +
+                                              std::to_string(b->id);
+                    visit(where, *fp, *b, aa, am.predRelations(b->id));
                 }
             }
         }
     }
+}
+
+TEST(SchedTest, DagAdjacencyMatchesEdgeList)
+{
+    // DepDag keeps each instruction's predecessors as one edge-id range
+    // and its successors as a CSR row. Both must list exactly the edges
+    // of edges() that enter or leave the instruction, in edge-id order.
+    const MachineConfig mach;
+    int blocks = 0;
+    forEachScheduledBlock([&](const std::string &where, const Function &f,
+                              const BasicBlock &b, const AliasAnalysis &aa,
+                              const PredRelations &prel) {
+        DepDag dag(f, b, aa, mach, prel);
+        std::vector<std::vector<int>> preds(dag.size()), succs(dag.size());
+        for (int e = 0; e < static_cast<int>(dag.edges().size()); ++e) {
+            preds[dag.edges()[e].to].push_back(e);
+            succs[dag.edges()[e].from].push_back(e);
+        }
+        for (int i = 0; i < dag.size(); ++i) {
+            std::vector<int> p, s;
+            const EdgeIdRange r = dag.predEdges(i);
+            for (int e = r.first; e < r.last; ++e)
+                p.push_back(e);
+            for (int e : dag.succEdges(i))
+                s.push_back(e);
+            ASSERT_EQ(p, preds[i]) << where << " op " << i;
+            ASSERT_EQ(s, succs[i]) << where << " op " << i;
+        }
+        ++blocks;
+    });
     EXPECT_GT(blocks, 0);
+}
+
+/**
+ * Reference dependence DAG: the all-pairs scan, which checks every
+ * earlier op of the block against each op for register (RAW, WAR,
+ * WAW), memory and control dependences and keeps the strongest edge
+ * per pair. It is the unreduced DAG DepDag's register chain walk once
+ * reproduced edge for edge; DepDag now leaves out the register edges
+ * that a path through a nearer unguarded def implies.
+ */
+std::vector<DagEdge>
+referenceDagEdges(const Function &f, const BasicBlock &b,
+                  const AliasAnalysis &aa, const MachineConfig &mach,
+                  const PredRelations &prel)
+{
+    const int n = static_cast<int>(b.instrs.size());
+    std::vector<int> lat(static_cast<size_t>(n) * n, -1); // [from * n + to]
+    auto add = [&](int j, int i, int l) {
+        int &e = lat[static_cast<size_t>(j) * n + i];
+        e = std::max(e, l);
+    };
+    auto guard = [&](int k) {
+        const Instruction &x = b.instrs[k];
+        const bool unc = (x.op == Opcode::CMP || x.op == Opcode::CMPI) &&
+                         x.ctype == CmpType::Unc;
+        return unc ? kPrTrue : x.guard;
+    };
+    auto disjoint = [&](int i, int j) {
+        const Reg gi = guard(i), gj = guard(j);
+        return gi != kPrTrue && gj != kPrTrue && prel.disjointAt(i, gi, gj) &&
+               prel.disjointAt(j, gi, gj);
+    };
+    std::vector<std::vector<Reg>> defs(n), uses(n);
+    for (int k = 0; k < n; ++k) {
+        instrDefs(b.instrs[k], defs[k]);
+        instrUses(b.instrs[k], uses[k]);
+    }
+    int last_branch = -1;
+    for (int i = 0; i < n; ++i) {
+        const Instruction &ii = b.instrs[i];
+        for (int j = i - 1; j >= 0; --j) {
+            const Instruction &ij = b.instrs[j];
+            const bool dj = disjoint(i, j);
+            for (const Reg &d : defs[j]) {
+                bool reads = false, guard_read = false;
+                for (const Reg &u : uses[i])
+                    if (u == d) {
+                        reads = true;
+                        guard_read = guard_read ||
+                                     (u == ii.guard && u.cls == RegClass::Pr);
+                    }
+                if (!reads || (dj && guard(j) != kPrTrue))
+                    continue;
+                int l = ij.op == Opcode::CHK_A ? 0 : opLatency(mach, ij.op);
+                bool guard_only = guard_read;
+                for (const Operand &o : ii.srcs)
+                    if (o.isReg() && o.reg == d)
+                        guard_only = false;
+                if ((ij.op == Opcode::CMP || ij.op == Opcode::CMPI) &&
+                    ii.isBranch() && guard_only)
+                    l = 0;
+                add(j, i, l);
+            }
+            for (const Reg &d : defs[i]) {
+                for (const Reg &u : uses[j])
+                    if (u == d && !dj)
+                        add(j, i, 0);
+                for (const Reg &d2 : defs[j])
+                    if (d == d2 && !dj)
+                        add(j, i, 1);
+            }
+            if ((ii.isMem() || ii.isCall()) && (ij.isMem() || ij.isCall())) {
+                bool conflict;
+                if (ii.isCall() && ij.isCall())
+                    conflict = true;
+                else if (ii.isCall() || ij.isCall())
+                    conflict = aa.callMayTouch(ii.isCall() ? ii : ij,
+                                               ii.isCall() ? ij : ii);
+                else if (ii.isLoad() && ij.isLoad())
+                    conflict = false;
+                else if (ii.op == Opcode::LD_A && ij.isStore())
+                    conflict = false;
+                else
+                    conflict = aa.mayAlias(f, ii, ij);
+                if (conflict && !dj)
+                    add(j, i, 1);
+            }
+        }
+        if (ii.op == Opcode::ALLOC)
+            for (int j = 0; j < i; ++j)
+                add(j, i, 1);
+        if (ii.isBranch()) {
+            for (int j = std::max(last_branch, 0); j < i; ++j)
+                add(j, i, j == last_branch ? 1 : 0);
+            last_branch = i;
+        } else if (last_branch >= 0) {
+            add(last_branch, i, 1);
+        }
+    }
+    std::vector<DagEdge> edges;
+    for (int j = 0; j < n; ++j)
+        for (int i = j + 1; i < n; ++i)
+            if (lat[static_cast<size_t>(j) * n + i] >= 0)
+                edges.push_back({j, i, lat[static_cast<size_t>(j) * n + i]});
+    return edges;
+}
+
+/** Longest-path latency from every op to every op of an n-op DAG whose
+ *  edges go forward: [from * n + to], -1 where `to` is unreachable. */
+std::vector<int>
+longestPaths(int n, const std::vector<DagEdge> &edges)
+{
+    std::vector<std::vector<const DagEdge *>> out(n);
+    for (const DagEdge &e : edges)
+        out[e.from].push_back(&e);
+    std::vector<int> dist(static_cast<size_t>(n) * n, -1);
+    for (int s = n - 1; s >= 0; --s) {
+        int *row = &dist[static_cast<size_t>(s) * n];
+        row[s] = 0;
+        for (const DagEdge *e : out[s]) {
+            const int *via = &dist[static_cast<size_t>(e->to) * n];
+            for (int t = e->to; t < n; ++t)
+                if (via[t] >= 0)
+                    row[t] = std::max(row[t], e->latency + via[t]);
+        }
+    }
+    return dist;
+}
+
+/**
+ * DepDag and the reference DAG of one block agree on every longest
+ * path (unreachable pairs included) and on every height, which is all
+ * the list scheduler reads of a DAG besides each op's predecessor
+ * count.
+ */
+void
+expectSameLongestPaths(const std::string &where, const Function &f,
+                       const BasicBlock &b, const AliasAnalysis &aa,
+                       const PredRelations &prel, int *edges = nullptr)
+{
+    const MachineConfig mach;
+    const DepDag dag(f, b, aa, mach, prel);
+    const int n = dag.size();
+    const std::vector<int> got = longestPaths(n, dag.edges());
+    const std::vector<int> want =
+        longestPaths(n, referenceDagEdges(f, b, aa, mach, prel));
+    for (int s = 0; s < n; ++s) {
+        int height = 0;
+        for (int t = s; t < n; ++t) {
+            const size_t k = static_cast<size_t>(s) * n + t;
+            ASSERT_EQ(got[k], want[k])
+                << where << ": longest path op " << s << " -> op " << t;
+            height = std::max(height, want[k]);
+        }
+        ASSERT_EQ(dag.height(s), height) << where << ": height of op " << s;
+    }
+    if (edges)
+        *edges += static_cast<int>(dag.edges().size());
+}
+
+TEST(SchedTest, DagKeepsEveryLongestPathOfTheAllPairsScan)
+{
+    int blocks = 0, instrs = 0, edges = 0;
+    forEachScheduledBlock([&](const std::string &where, const Function &f,
+                              const BasicBlock &b, const AliasAnalysis &aa,
+                              const PredRelations &prel) {
+        expectSameLongestPaths(where, f, b, aa, prel, &edges);
+        instrs += static_cast<int>(b.instrs.size());
+        ++blocks;
+    });
+    EXPECT_GT(blocks, 2000);
+    // The all-pairs scan holds about 30 edges per instruction on this
+    // fleet (1.6M for 55k), the chain-cut DAG about 3.3: a register
+    // walk gone quadratic again trips this.
+    EXPECT_LT(edges, 5 * instrs) << edges << " edges for " << instrs
+                                 << " instructions";
+}
+
+/** DepDag of the one-block function of one parameter that `body`
+ *  builds, once it has kept every longest path of the reference. */
+template <typename Body>
+DepDag
+handBuiltDag(Body body)
+{
+    Program p;
+    IRBuilder b(p);
+    Function *f = b.beginFunction("g", 1);
+    body(b, f->block(f->entry));
+    p.entry_func = f->id;
+    const BasicBlock &bb = *f->block(f->entry);
+    AliasAnalysis aa(p, AliasLevel::Inter);
+    AnalysisManager am(*f, &aa);
+    const PredRelations &prel = am.predRelations(bb.id);
+    expectSameLongestPaths("hand-built", *f, bb, aa, prel);
+    return DepDag(*f, bb, aa, MachineConfig{}, prel);
+}
+
+/** Latency of the edge from -> to, or -1 when there is none. */
+int
+edgeLatency(const DepDag &dag, int from, int to)
+{
+    const EdgeIdRange r = dag.predEdges(to);
+    for (int e = r.first; e < r.last; ++e)
+        if (dag.edges()[e].from == from)
+            return dag.edges()[e].latency;
+    return -1;
+}
+
+int
+nextIndex(const BasicBlock *bb)
+{
+    return static_cast<int>(bb->instrs.size());
+}
+
+TEST(SchedTest, DagKeepsASlowDefsEdgePastAnUnguardedRedefinition)
+{
+    // mul r5; mov r5 = x; add = r5 + 1: the path through the mov is
+    // 1 + 1 cycles, the mul's result 6, so the mul -> add edge stays.
+    int mul = 0, mov = 0, use = 0;
+    const DepDag dag = handBuiltDag([&](IRBuilder &b, BasicBlock *bb) {
+        const Reg x = b.param(0);
+        mul = nextIndex(bb);
+        const Reg r5 = b.mul(x, x);
+        mov = nextIndex(bb);
+        b.movTo(r5, x);
+        use = nextIndex(bb);
+        b.ret(b.addi(r5, 1));
+    });
+    EXPECT_EQ(edgeLatency(dag, mul, mov), 1);
+    EXPECT_EQ(edgeLatency(dag, mov, use), 1);
+    EXPECT_EQ(edgeLatency(dag, mul, use), 6);
+}
+
+TEST(SchedTest, DagGuardedRedefinitionDoesNotCutTheChain)
+{
+    // (pt) r5 = 1; (pf) r5 = 2; (pt) add = r5 + 1. pt and pf are
+    // disjoint, so no edge joins the second def to either neighbour:
+    // only the direct edge orders the first def before the add.
+    int def = 0, redef = 0, use = 0;
+    const DepDag dag = handBuiltDag([&](IRBuilder &b, BasicBlock *bb) {
+        const Reg x = b.param(0);
+        const auto [pt, pf] = b.cmpi(CmpCond::GT, x, 0);
+        const Reg r5 = b.gr();
+        def = nextIndex(bb);
+        b.moviTo(r5, 1, pt);
+        redef = nextIndex(bb);
+        b.moviTo(r5, 2, pf);
+        use = nextIndex(bb);
+        b.ret(b.addi(r5, 1, pt));
+    });
+    EXPECT_EQ(edgeLatency(dag, def, redef), -1);
+    EXPECT_EQ(edgeLatency(dag, redef, use), -1);
+    EXPECT_EQ(edgeLatency(dag, def, use), 1);
+}
+
+TEST(SchedTest, DagUncCompareCutsTheChain)
+{
+    // p1 = (x > 0); (g) p1 = (x < 5); (p1) r = 7. An unc compare writes
+    // p1 even when g is false, so it cuts p1's chain: the first compare
+    // reaches the use only through it (1 + 1), the reference directly.
+    // A normal compare under g writes p1 only when g holds, so the
+    // chain runs on to the first compare.
+    for (CmpType ctype : {CmpType::Unc, CmpType::Norm}) {
+        int first = 0, redef = 0, use = 0;
+        const DepDag dag = handBuiltDag([&](IRBuilder &b, BasicBlock *bb) {
+            const Reg x = b.param(0);
+            first = nextIndex(bb);
+            const auto [p1, p2] = b.cmpi(CmpCond::GT, x, 0);
+            const Reg g = b.cmpi(CmpCond::LT, x, 10).first;
+            Instruction cmp;
+            cmp.op = Opcode::CMPI;
+            cmp.cond = CmpCond::LT;
+            cmp.ctype = ctype;
+            cmp.guard = g;
+            cmp.dests = {p1, p2};
+            cmp.srcs = {Operand::makeReg(x), Operand::makeImm(5)};
+            redef = nextIndex(bb);
+            b.emit(cmp);
+            use = nextIndex(bb);
+            b.ret(b.movi(7, p1));
+        });
+        EXPECT_EQ(edgeLatency(dag, first, redef), 1) << cmpTypeName(ctype);
+        EXPECT_EQ(edgeLatency(dag, redef, use), 1) << cmpTypeName(ctype);
+        EXPECT_EQ(edgeLatency(dag, first, use), ctype == CmpType::Unc ? -1 : 1)
+            << cmpTypeName(ctype);
+    }
 }
 
 } // namespace

@@ -30,15 +30,11 @@ TEST(TelemetryTest, RegistryScalarsAndDump)
     reg.setInt("a.x", 3);
     reg.addInt("a.x", 4);
     reg.setInt("a.y", 10);
-    reg.setFloat("a.wall_ms", 1.5, kStatVolatile);
     EXPECT_EQ(reg.getInt("a.x"), 7);
     EXPECT_EQ(reg.getInt("a.y"), 10);
     EXPECT_EQ(reg.getInt("missing"), 0);
     EXPECT_EQ(reg.jsonObject().find("missing"), std::string::npos);
-
-    // Volatile stats never reach the deterministic snapshot.
     EXPECT_EQ(reg.jsonObject(), "{\"a.x\":7,\"a.y\":10}");
-    EXPECT_NE(reg.jsonObject(true).find("a.wall_ms"), std::string::npos);
 
     reg.reset();
     EXPECT_EQ(reg.getInt("a.x"), 0);
