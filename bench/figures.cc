@@ -1,10 +1,10 @@
 /**
  * @file
  * Every table and figure of the paper, rendered as a view over one run
- * pass. Each view declares the runs it reads as keys of (workload,
- * config, deferral policy, profile input, compile variant); the pass
- * prepares each (workload, profile input) pair once and compiles and
- * simulates each distinct key once over the pool, checking every run
+ * pass. Each view declares the runs it reads as RunSet keys of
+ * (workload, config, deferral policy, profile input, compile variant);
+ * the driver's RunSet prepares each (workload, profile input) pair once
+ * and compiles and simulates each distinct key once, checking every run
  * against its source program's checksum, and the views print from the
  * stored results. Views keep the names of the reproduction binaries
  * they replace, and print what those printed.
@@ -19,141 +19,25 @@
 #include "driver/experiment.h"
 #include "support/logging.h"
 #include "support/stats.h"
-#include "support/threadpool.h"
 
 namespace epic {
 namespace {
-
-/** A compile+sim run a view reads. */
-struct RunKey
-{
-    int workload = 0; ///< index in allWorkloads()
-    Config config = Config::IlpCs;
-    DeferralPolicy deferral = DeferralPolicy::General;
-    InputKind profile_input = InputKind::Train;
-    CompileVariant variant;
-
-    auto operator<=>(const RunKey &) const = default;
-};
 
 RunKey
 key(const Workload &w, Config c, const CompileVariant &v = {},
     DeferralPolicy deferral = DeferralPolicy::General,
     InputKind profile_input = InputKind::Train)
 {
-    return {static_cast<int>(&w - allWorkloads().data()), c, deferral,
-            profile_input, v};
+    return {&w, c, deferral, profile_input, v};
 }
 
-/**
- * The one run pass the views read from: views declare their runs with
- * need(), run() computes each distinct key once, and at() looks a run
- * up. Results are stored per key, so what a view prints does not
- * depend on the schedule.
- */
-class RunSet
+/** Did `w`'s runs under `configs` reproduce its source checksum? */
+bool
+allMatch(const RunSet &runs, const Workload &w,
+         const std::vector<Config> &configs)
 {
-  public:
-    /**
-     * Declare a run. `branch_profile` arms the PMU's per-branch
-     * profile for it; the PMU perturbs no counter, so the run serves
-     * every other view that reads its key too.
-     */
-    void
-    need(const RunKey &k, bool branch_profile = false)
-    {
-        runs_[k].branch_profile |= branch_profile;
-    }
-
-    void run(int jobs);
-
-    const ConfigRun &at(const RunKey &k) const { return runs_.at(k).result; }
-
-    /** Did `w`'s runs under `configs` reproduce its source checksum? */
-    bool
-    allMatch(const Workload &w, const std::vector<Config> &configs) const
-    {
-        for (Config c : configs)
-            if (!runs_.at(key(w, c)).matches)
-                return false;
-        return true;
-    }
-
-  private:
-    struct Slot
-    {
-        bool branch_profile = false;
-        ConfigRun result;
-        bool matches = false; ///< ok, with the source's checksum
-    };
-    std::map<RunKey, Slot> runs_;
-    /// The prepared source of each (workload, profile input).
-    std::map<std::pair<int, InputKind>, ProfiledSource> sources_;
-};
-
-void
-RunSet::run(int jobs)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<Workload> &suite = allWorkloads();
-    for (const auto &[k, slot] : runs_)
-        sources_.try_emplace({k.workload, k.profile_input});
-
-    // Two phases over the pool: the prepare steps, then the runs that
-    // compile from them. A workload's prepare step makes one
-    // source-truth run and one profile run per profile input its runs
-    // name. Each task writes only its own map nodes.
-    std::vector<std::vector<decltype(sources_)::value_type *>> preps;
-    for (auto &entry : sources_) {
-        if (preps.empty() ||
-            preps.back().front()->first.first != entry.first.first)
-            preps.emplace_back();
-        preps.back().push_back(&entry);
-    }
-    parallelFor(jobs, static_cast<int>(preps.size()), [&](int i) {
-        const Workload &w = suite[preps[i].front()->first.first];
-        RunOptions o;
-        o.profile_input = preps[i].front()->first.second;
-        const ProfiledSource &first = preps[i].front()->second =
-            prepareWorkload(w, o);
-        for (size_t k = 1; k < preps[i].size(); ++k)
-            preps[i][k]->second =
-                profileWorkload(w, first, preps[i][k]->first.second);
-    });
-
-    std::vector<decltype(runs_)::value_type *> tasks;
-    for (auto &entry : runs_)
-        tasks.push_back(&entry);
-    parallelFor(jobs, static_cast<int>(tasks.size()), [&](int i) {
-        const RunKey &k = tasks[i]->first;
-        Slot &slot = tasks[i]->second;
-        RunOptions o;
-        o.deferral = k.deferral;
-        o.profile_input = k.profile_input;
-        o.variant = k.variant;
-        o.pmu.branch_profile = slot.branch_profile;
-        const ProfiledSource &src =
-            sources_.at({k.workload, k.profile_input});
-        slot.result = runConfig(suite[k.workload], src, k.config, o);
-        slot.matches = slot.result.ok && src.source_checksum &&
-                       slot.result.checksum == *src.source_checksum;
-    });
-
-    for (const auto &[k, slot] : runs_)
-        if (!slot.matches)
-            epic_warn(suite[k.workload].name, " [", configName(k.config),
-                      "]: ", slot.result.ok ? "checksum mismatch"
-                                            : slot.result.error);
-    // The wall clock varies run to run: stderr, so stdout stays
-    // byte-identical across --jobs values.
-    fprintf(stderr,
-            "figures: %zu run(s) over %zu prepared source(s) in %.1f s "
-            "(jobs=%d)\n",
-            runs_.size(), sources_.size(),
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count(),
-            jobs);
+    return std::all_of(configs.begin(), configs.end(),
+                       [&](Config c) { return runs.matches(key(w, c)); });
 }
 
 /** What the views render over: the --only selection and --with-ds. */
@@ -211,7 +95,7 @@ renderTable1(const Scope &s, const RunSet &runs)
     bool all_ok = true;
 
     for (const Workload *w : s.workloads) {
-        all_ok = all_ok && runs.allMatch(*w, standardConfigs());
+        all_ok = all_ok && allMatch(runs, *w, standardConfigs());
         double reftime = w->ref_time * 1e6;
         t.row().cell(w->name);
         for (Config cfg : standardConfigs()) {
@@ -330,7 +214,7 @@ renderFig5(const Scope &s, const RunSet &runs)
             continue;
 
         printf("%s%s\n", w->name.c_str(),
-               runs.allMatch(*w, configs) ? "" : "  [CHECKSUM MISMATCH]");
+               allMatch(runs, *w, configs) ? "" : "  [CHECKSUM MISMATCH]");
         std::vector<std::string> headers = {"category"};
         for (Config cfg : configs)
             headers.push_back(configName(cfg));
@@ -369,7 +253,7 @@ renderFig6(const Scope &s, const RunSet &runs)
             continue;
 
         printf("%s%s\n", w->name.c_str(),
-               runs.allMatch(*w, kNsCs) ? "" : "  [CHECKSUM MISMATCH]");
+               allMatch(runs, *w, kNsCs) ? "" : "  [CHECKSUM MISMATCH]");
         Table t({"config", "useful", "squashed", "nops", "kernel",
                  "planned-IPC", "achieved-IPC"});
         for (Config cfg : kNsCs) {
@@ -1166,10 +1050,21 @@ renderFigures(const std::string &list, const std::vector<std::string> &only,
     if (scope.workloads.empty())
         epic_fatal("--only matched no workloads (see --list)");
 
-    RunSet runs;
+    RunOptions opts;
+    opts.jobs = jobs;
+    RunSet runs(opts);
     for (const View *v : views)
         v->need(scope, runs);
-    runs.run(jobs);
+    const auto t0 = std::chrono::steady_clock::now();
+    runs.run();
+    // The wall clock varies run to run: stderr, so stdout stays
+    // byte-identical across --jobs values.
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - t0;
+    fprintf(stderr,
+            "figures: %zu run(s) over %zu prepared source(s) in %.1f s "
+            "(jobs=%d)\n",
+            runs.size(), runs.sources(), took.count(), jobs);
 
     int rc = 0;
     for (const View *v : views)

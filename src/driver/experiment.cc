@@ -64,11 +64,37 @@ buildSource(const Workload &w)
     return prog;
 }
 
+/**
+ * Source truth: a functional run of `w`'s unoptimized program on
+ * `input`, setting `checksum`. Returns the build it ran, still pristine
+ * since only a profile run writes to a program, or null with `error`
+ * set.
+ */
+std::unique_ptr<Program>
+runSource(const Workload &w, InputKind input,
+          std::optional<int64_t> &checksum, std::string &error)
+{
+    TraceSpan span("experiment.phase", phaseLabel("source-run", w));
+    auto prog = buildSource(w);
+    Memory mem;
+    mem.initFromProgram(*prog);
+    w.write_input(*prog, mem, input);
+    auto r = interpret(*prog, mem);
+    if (!r.ok) {
+        error = "source program failed: " + r.error;
+        return nullptr;
+    }
+    checksum = r.ret_value;
+    return prog;
+}
+
 /** Profile `prog` on `input`; on success it becomes `out.prog`. */
 void
 profileInto(const Workload &w, std::unique_ptr<Program> prog,
             InputKind input, ProfiledSource &out)
 {
+    TraceSpan span("experiment.phase", phaseLabel("profile", w));
+    out.profile_input = input;
     Memory mem;
     mem.initFromProgram(*prog);
     w.write_input(*prog, mem, input);
@@ -158,13 +184,6 @@ manifestKey(const Workload &w, Config cfg, const RunOptions &o)
            hashHex(h);
 }
 
-/** Did a stored manifest record complete successfully? */
-bool
-recordSaysOk(const std::string &rec)
-{
-    return rec.find("\"ok\":true") != std::string::npos;
-}
-
 /** Integer field `key` of a stored manifest record (0 when absent). */
 int64_t
 recordInt(const std::string &rec, const std::string &key)
@@ -223,7 +242,7 @@ resumedRun(Config cfg, const std::string &rec)
     r.config = cfg;
     r.resumed = true;
     r.record_json = rec;
-    r.ok = recordSaysOk(rec);
+    r.ok = rec.find("\"ok\":true") != std::string::npos;
     r.checksum = recordInt(rec, "checksum");
     r.error = recordString(rec, "error");
     // What the fleet report prints of a run.
@@ -418,48 +437,13 @@ superviseSim(const Workload &w, Config cfg, const RunOptions &opts,
 } // namespace
 
 ProfiledSource
-prepareWorkload(const Workload &w, const RunOptions &opts, bool profile)
+prepareWorkload(const Workload &w, const RunOptions &opts)
 {
     ProfiledSource out;
     out.profile_input = opts.profile_input;
-    std::unique_ptr<Program> prog;
-    {
-        // Source truth: functional run of the unoptimized program on
-        // the measurement input.
-        TraceSpan span("experiment.phase", phaseLabel("source-run", w));
-        prog = buildSource(w);
-        Memory mem;
-        mem.initFromProgram(*prog);
-        w.write_input(*prog, mem, opts.run_input);
-        auto r = interpret(*prog, mem);
-        if (!r.ok) {
-            out.error = "source program failed: " + r.error;
-            return out;
-        }
-        out.source_checksum = r.ret_value;
-    }
-    // Only a profile run writes to the program, so the build the
-    // source run used is still pristine.
-    if (profile) {
-        TraceSpan span("experiment.phase", phaseLabel("profile", w));
+    if (std::unique_ptr<Program> prog = runSource(
+            w, opts.run_input, out.source_checksum, out.error))
         profileInto(w, std::move(prog), opts.profile_input, out);
-    }
-    return out;
-}
-
-ProfiledSource
-profileWorkload(const Workload &w, const ProfiledSource &prepared,
-                InputKind input)
-{
-    ProfiledSource out;
-    out.profile_input = input;
-    out.source_checksum = prepared.source_checksum;
-    if (!prepared.source_checksum) {
-        out.error = prepared.error;
-        return out;
-    }
-    TraceSpan span("experiment.phase", phaseLabel("profile", w));
-    profileInto(w, buildSource(w), input, out);
     return out;
 }
 
@@ -514,37 +498,162 @@ runConfig(const Workload &w, Config cfg, const RunOptions &opts)
 {
     // Build and profile, with no source-truth run.
     ProfiledSource src;
-    src.profile_input = opts.profile_input;
-    {
-        TraceSpan span("experiment.phase", phaseLabel("build+profile", w));
-        profileInto(w, buildSource(w), opts.profile_input, src);
-    }
+    profileInto(w, buildSource(w), opts.profile_input, src);
     return runConfig(w, src, cfg, opts);
 }
 
-std::vector<WorkloadRuns>
-runSuite(const std::vector<Config> &configs, const RunOptions &opts,
-         const std::function<void(const WorkloadRuns &)> &progress)
+RunOptions
+RunSet::options(const Entry &e) const
 {
-    const std::vector<const Workload *> suite = selectWorkloads(opts.only);
+    RunOptions o = opts_;
+    o.deferral = e.first.deferral;
+    o.profile_input = e.first.profile_input;
+    o.variant = e.first.variant;
+    o.pmu.branch_profile |= e.second.branch_profile;
+    return o;
+}
 
-    std::vector<WorkloadRuns> out(suite.size());
-    // Workloads fan out over the pool; results land in suite order, so
-    // the report is byte-identical to a serial run. Progress feedback
-    // streams per workload when serial, after the join when parallel.
-    parallelFor(opts.jobs, static_cast<int>(suite.size()), [&](int i) {
-        if (stopped()) {
-            out[i].name = suite[i]->name;
-            out[i].error = "interrupted by stop request";
-            return;
+std::shared_ptr<const RunSet::Sources>
+RunSet::prepare(const Workload &w, Work &wk)
+{
+    if (stopped()) {
+        wk.error = "interrupted by stop request";
+        return nullptr;
+    }
+    // A run whose key already has a durable record replays it; only the
+    // profile inputs of the rest are prepared.
+    auto sources = std::make_shared<Sources>();
+    for (Entry *e : wk.runs) {
+        const std::string *rec =
+            opts_.manifest && opts_.resume
+                ? opts_.manifest->find(
+                      manifestKey(w, e->first.config, options(*e)))
+                : nullptr;
+        if (rec) {
+            e->second.result = resumedRun(e->first.config, *rec);
+        } else {
+            wk.pending.push_back(e);
+            (*sources)[e->first.profile_input];
         }
-        out[i] = runWorkload(*suite[i], configs, opts);
-        if (progress && opts.jobs <= 1)
-            progress(out[i]);
-    });
-    if (progress && opts.jobs > 1)
-        for (const WorkloadRuns &r : out)
-            progress(r);
+    }
+    std::unique_ptr<Program> build =
+        runSource(w, opts_.run_input, wk.checksum, wk.error);
+    if (!build) {
+        // Recoverable: the workload is reported as failed instead of
+        // killing the whole pass.
+        epic_warn(w.name, ": ", wk.error);
+        return nullptr;
+    }
+    // The source run left its build pristine: the first profile run
+    // takes it, any later one a fresh build.
+    profiled_ += sources->size();
+    for (auto &[input, src] : *sources)
+        profileInto(w, build ? std::move(build) : buildSource(w), input,
+                    src);
+    return sources;
+}
+
+void
+RunSet::execute(const Workload &w, const Work &wk, Entry &e,
+                const Sources &src)
+{
+    ConfigRun &out = e.second.result;
+    if (stopped()) {
+        out.config = e.first.config;
+        out.sim_status = RunStatus::Deadline;
+        out.error = "interrupted by stop request";
+        return;
+    }
+    // Validating runs check every accepted result against the source
+    // truth (silent-corruption detection drives retry).
+    RunOptions o = options(e);
+    if (opts_.supervision.validate)
+        o.expected_checksum = wk.checksum;
+    out = runConfig(w, src.at(e.first.profile_input), e.first.config, o);
+    // Durable completion record, appended (and fsync'd) the moment the
+    // run ends, so a later kill -9 cannot lose it. A result produced
+    // after a stop request is not recorded: it may be partial
+    // (Deadline) and simply re-runs on resume.
+    if (opts_.manifest && !(stopped() && !out.ok))
+        opts_.manifest->record(manifestKey(w, e.first.config, o),
+                               runRecordJson(w.name, *wk.checksum, out));
+}
+
+void
+RunSet::run(const std::function<void(const Workload &)> &done)
+{
+    for (Entry &e : runs_)
+        work_[e.first.workload].runs.push_back(&e);
+    // Check every run against its workload's source truth, then report
+    // the workload.
+    auto report = [&](const Workload &w, Work &wk) {
+        for (Entry *e : wk.runs) {
+            const ConfigRun &r = e->second.result;
+            e->second.matches =
+                wk.checksum && r.ok && r.checksum == *wk.checksum;
+            if (wk.checksum && !e->second.matches)
+                epic_warn(w.name, " [", configName(e->first.config), "]: ",
+                          r.ok ? "checksum mismatch (" +
+                                     std::to_string(r.checksum) + " vs " +
+                                     std::to_string(*wk.checksum) + ")"
+                               : r.error);
+        }
+        if (done)
+            done(w);
+    };
+
+    if (opts_.jobs <= 1 || ThreadPool::insideWorker()) {
+        for (auto &[w, wk] : work_) {
+            if (std::shared_ptr<const Sources> src = prepare(*w, wk))
+                for (Entry *e : wk.pending)
+                    execute(*w, wk, *e, *src);
+            report(*w, wk);
+        }
+        return;
+    }
+
+    // The pool starts on one prepare per worker. A finished prepare
+    // queues its workload's runs, each holding the workload's sources
+    // until it ends, and then the next workload's prepare.
+    ThreadPool pool(std::min<int>(opts_.jobs, runs_.size() + work_.size()));
+    std::atomic<size_t> next{0};
+    std::function<void()> queuePrepare = [&] {
+        const size_t i = next++;
+        if (i >= work_.size())
+            return;
+        pool.submit([&, i] {
+            auto &[w, wk] = *std::next(work_.begin(), i);
+            if (std::shared_ptr<const Sources> src = prepare(*w, wk))
+                for (Entry *e : wk.pending)
+                    pool.submit([&, w, e, src] { execute(*w, wk, *e, *src); });
+            queuePrepare();
+        });
+    };
+    for (int j = 0; j < opts_.jobs; ++j)
+        queuePrepare();
+    pool.wait();
+    for (auto &[w, wk] : work_)
+        report(*w, wk);
+}
+
+WorkloadRuns
+RunSet::collect(const Workload &w)
+{
+    const Work &wk = work_.at(&w);
+    WorkloadRuns out;
+    out.name = w.name;
+    out.error = wk.error;
+    if (!wk.checksum)
+        return out;
+    out.source_checksum = *wk.checksum;
+    out.all_match = true;
+    for (Entry *e : wk.runs) {
+        ConfigRun &r = e->second.result;
+        out.fallback.merge(r.fallback);
+        out.pipeline.merge(r.pipeline);
+        out.all_match = out.all_match && e->second.matches;
+        out.by_config.emplace(e->first.config, std::move(r));
+    }
     return out;
 }
 
@@ -552,90 +661,27 @@ WorkloadRuns
 runWorkload(const Workload &w, const std::vector<Config> &configs,
             const RunOptions &opts)
 {
-    WorkloadRuns out;
-    out.name = w.name;
+    RunSet runs(opts);
+    for (Config cfg : configs)
+        runs.need({&w, cfg, opts.deferral, opts.profile_input, opts.variant});
+    runs.run();
+    return runs.collect(w);
+}
 
-    if (stopped()) {
-        out.error = "interrupted by stop request";
-        return out;
-    }
-
-    // Tasks whose key already has a durable record replay it; the rest
-    // are pending. Deciding this first lets a workload with nothing
-    // pending skip its profile run.
-    std::vector<ConfigRun> results(configs.size());
-    std::vector<std::string> keys(configs.size());
-    std::vector<int> pending;
-    for (size_t i = 0; i < configs.size(); ++i) {
-        if (opts.manifest)
-            keys[i] = manifestKey(w, configs[i], opts);
-        const std::string *rec = opts.manifest && opts.resume
-                                     ? opts.manifest->find(keys[i])
-                                     : nullptr;
-        if (rec)
-            results[i] = resumedRun(configs[i], *rec);
-        else
-            pending.push_back(static_cast<int>(i));
-    }
-
-    const ProfiledSource src = prepareWorkload(w, opts, !pending.empty());
-    if (!src.source_checksum) {
-        // Recoverable: the harness reports the workload as failed
-        // instead of killing the whole suite.
-        out.error = src.error;
-        epic_warn(w.name, ": ", out.error);
-        return out;
-    }
-    out.source_checksum = *src.source_checksum;
-
-    // Validating runs check every accepted result against the source
-    // truth (silent-corruption detection drives retry).
-    RunOptions wopts = opts;
-    if (opts.supervision.validate)
-        wopts.expected_checksum = out.source_checksum;
-
-    // The pending configurations compile from the one shared profiled
-    // source (read-only), so they are independent; fan them out, then
-    // merge and report in `configs` order so the aggregate — and even
-    // the warning stream — is identical to a serial run.
-    parallelFor(
-        opts.jobs, static_cast<int>(pending.size()), [&](int k) {
-            const int i = pending[k];
-            if (stopped()) {
-                results[i].config = configs[i];
-                results[i].sim_status = RunStatus::Deadline;
-                results[i].error = "interrupted by stop request";
-                return;
-            }
-            results[i] = runConfig(w, src, configs[i], wopts);
-            // Durable completion record — appended (and fsync'd) the
-            // moment the task finishes, so a later kill -9 cannot lose
-            // it. Results produced after a stop request are not
-            // recorded: they may be partial (Deadline) and will simply
-            // re-run on resume.
-            if (opts.manifest && !(stopped() && !results[i].ok))
-                opts.manifest->record(
-                    keys[i], runRecordJson(w.name, out.source_checksum,
-                                           results[i]));
-        });
-
-    out.all_match = true;
-    for (size_t i = 0; i < configs.size(); ++i) {
-        const Config cfg = configs[i];
-        ConfigRun &r = results[i];
-        out.fallback.merge(r.fallback);
-        out.pipeline.merge(r.pipeline);
-        if (!r.ok) {
-            epic_warn(w.name, " [", configName(cfg), "]: ", r.error);
-            out.all_match = false;
-        } else if (r.checksum != out.source_checksum) {
-            epic_warn(w.name, " [", configName(cfg),
-                      "]: checksum mismatch (", r.checksum, " vs ",
-                      out.source_checksum, ")");
-            out.all_match = false;
-        }
-        out.by_config.emplace(cfg, std::move(r));
-    }
+std::vector<WorkloadRuns>
+runSuite(const std::vector<Config> &configs, const RunOptions &opts,
+         const std::function<void(const WorkloadRuns &)> &progress)
+{
+    RunSet runs(opts);
+    for (const Workload *w : selectWorkloads(opts.only))
+        for (Config cfg : configs)
+            runs.need({w, cfg, opts.deferral, opts.profile_input, opts.variant});
+    std::vector<WorkloadRuns> out;
+    runs.run([&](const Workload &w) {
+        out.push_back(runs.collect(w));
+        if (progress)
+            progress(out.back());
+    });
     return out;
 }
 

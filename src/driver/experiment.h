@@ -10,6 +10,7 @@
 #ifndef EPIC_DRIVER_EXPERIMENT_H
 #define EPIC_DRIVER_EXPERIMENT_H
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -54,10 +55,10 @@ struct RunOptions
     DeferralPolicy deferral = DeferralPolicy::General;
     InputKind profile_input = InputKind::Train;
     InputKind run_input = InputKind::Ref;
-    /// Worker threads for the workload x config fan-out (and, via
+    /// Worker threads for RunSet's prepare and run tasks (and, via
     /// CompileOptions::jobs, the per-function compile tier). Results
-    /// merge in workload/config order, so any jobs value produces
-    /// bit-identical reports to jobs = 1.
+    /// are stored by key and merged in workload/config order, so any
+    /// jobs value produces bit-identical reports to jobs = 1.
     int jobs = 1;
     /// Compile variant applied to every configuration.
     CompileVariant variant;
@@ -72,8 +73,8 @@ struct RunOptions
     /// SupervisionOptions::supervised() arms the fleet supervisor.
     SupervisionOptions supervision;
     /// Known-good architected checksum for this workload (set by
-    /// runWorkload from the source-truth run when supervision.validate
-    /// is on): a detailed sim whose result disagrees is treated as
+    /// RunSet from the source-truth run when supervision.validate is
+    /// on): a detailed sim whose result disagrees is treated as
     /// Faulted and retried.
     std::optional<int64_t> expected_checksum;
     /// Sim-layer chaos injection (FaultInjector::simPlan); null = off.
@@ -182,18 +183,15 @@ struct WorkloadRuns
 
 /**
  * A workload's source program, built once and profiled on one input.
- * Every configuration compiles from `prog` (compileProgram clones it),
- * so one instance is shared read-only by all the configurations of a
- * workload — runWorkload's fan-out, or the figure views' run pass,
- * which compiles one workload several ways.
+ * Every run compiles from `prog` (compileProgram clones it), so one
+ * instance is shared read-only by all of them.
  */
 struct ProfiledSource
 {
     /// The input the profile was collected on; runConfig asserts that
     /// it matches RunOptions::profile_input.
     InputKind profile_input = InputKind::Train;
-    /// The profiled program; null when a step failed (see `error`) or
-    /// the prepare step was asked not to profile.
+    /// The profiled program; null when a step failed (see `error`).
     std::unique_ptr<const Program> prog;
     /// Source-truth checksum on RunOptions::run_input (prepareWorkload
     /// only).
@@ -204,22 +202,11 @@ struct ProfiledSource
 };
 
 /**
- * The per-workload prepare step: one build of `w` serves the
- * source-truth run (functional, on opts.run_input) and then, when
- * `profile` is set, the profile run (on opts.profile_input). A failed
- * source run ends the step.
+ * A single run's prepare step: one build of `w` serves the source-truth
+ * run (functional, on opts.run_input) and then the profile run (on
+ * opts.profile_input). A failed source run ends the step.
  */
-ProfiledSource prepareWorkload(const Workload &w, const RunOptions &opts,
-                               bool profile = true);
-
-/**
- * Another prepared source of `w`, for profile input `input`: it shares
- * `prepared`'s source-truth run instead of repeating it, and profiles
- * a fresh build. When that source run failed, it carries the failure.
- */
-ProfiledSource profileWorkload(const Workload &w,
-                               const ProfiledSource &prepared,
-                               InputKind input);
+ProfiledSource prepareWorkload(const Workload &w, const RunOptions &opts);
 
 /**
  * Run one workload under one configuration, compiled from a shared
@@ -232,12 +219,89 @@ ConfigRun runConfig(const Workload &w, const ProfiledSource &src,
 ConfigRun runConfig(const Workload &w, Config cfg,
                     const RunOptions &opts = {});
 
+/** A compile+sim run; its other options are its RunSet's. */
+struct RunKey
+{
+    const Workload *workload = nullptr;
+    Config config = Config::IlpCs;
+    DeferralPolicy deferral = DeferralPolicy::General;
+    InputKind profile_input = InputKind::Train;
+    CompileVariant variant;
+
+    auto operator<=>(const RunKey &) const = default;
+};
+
 /**
- * Run one workload under a set of configurations (with validation):
- * prepare once, then fan the configurations out over the shared
- * profiled source. A workload whose every configuration replays from
- * the manifest is not profiled.
+ * The one run engine, under the fleet (runSuite, runWorkload) and the
+ * figure views (DESIGN §10). need() declares runs; run() computes each
+ * distinct key once, under the set's RunOptions with the key's fields
+ * set, and alone makes the manifest lookups and records, the prepare
+ * steps, the stop checks and each run's checksum check and warning.
+ * Results are stored by key, so nothing read depends on the schedule.
  */
+class RunSet
+{
+  public:
+    explicit RunSet(RunOptions opts = {}) : opts_(std::move(opts)) {}
+
+    /** Declare a run; `branch_profile` arms its PMU branch profile,
+     *  which perturbs no counter that its key's other readers see. */
+    void
+    need(const RunKey &k, bool branch_profile = false)
+    {
+        runs_[k].branch_profile |= branch_profile;
+    }
+
+    /**
+     * Compute every declared run, workload by workload in key order. At
+     * jobs 1 each workload is prepared, run, freed and reported (`done`)
+     * before the next starts. At jobs N each prepare and each run is a
+     * pool task, and `done` reports every workload after the last run.
+     */
+    void run(const std::function<void(const Workload &)> &done = {});
+
+    const ConfigRun &at(const RunKey &k) const { return runs_.at(k).result; }
+
+    /** Did run `k` succeed with its workload's source checksum? */
+    bool matches(const RunKey &k) const { return runs_.at(k).matches; }
+
+    /** Move `w`'s runs out into one report, in key order. */
+    WorkloadRuns collect(const Workload &w);
+
+    size_t size() const { return runs_.size(); }
+    /** Sources run() prepared: one per (workload, profile input). */
+    size_t sources() const { return profiled_; }
+
+  private:
+    struct Run
+    {
+        bool branch_profile = false;
+        ConfigRun result;
+        bool matches = false;
+    };
+    using Entry = std::map<RunKey, Run>::value_type;
+    /** A workload's runs, in key order, and its source truth. */
+    struct Work
+    {
+        std::vector<Entry *> runs, pending; ///< pending: no record replays
+        std::optional<int64_t> checksum;
+        std::string error; ///< why the prepare step ended early
+    };
+    using Sources = std::map<InputKind, ProfiledSource>;
+
+    RunOptions options(const Entry &e) const;
+    std::shared_ptr<const Sources> prepare(const Workload &w, Work &wk);
+    void execute(const Workload &w, const Work &wk, Entry &e,
+                 const Sources &src);
+
+    RunOptions opts_;
+    std::map<RunKey, Run> runs_;
+    std::map<const Workload *, Work> work_;
+    std::atomic<size_t> profiled_{0};
+};
+
+/** Run one workload under a set of configurations: a RunSet of one
+ *  workload, each run validated against its source truth. */
 WorkloadRuns runWorkload(const Workload &w,
                          const std::vector<Config> &configs,
                          const RunOptions &opts = {});
@@ -246,8 +310,8 @@ WorkloadRuns runWorkload(const Workload &w,
 const std::vector<Config> &standardConfigs();
 
 /**
- * Run the whole suite under the given configurations; `progress`
- * (optional) is invoked per workload for console feedback.
+ * Run the workloads opts.only selects under the given configurations
+ * as one RunSet; `progress` (optional) gets each workload's report.
  */
 std::vector<WorkloadRuns>
 runSuite(const std::vector<Config> &configs, const RunOptions &opts = {},

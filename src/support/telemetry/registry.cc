@@ -110,11 +110,4 @@ StatsRegistry::jsonObject() const
     return os.str();
 }
 
-void
-StatsRegistry::reset()
-{
-    for (auto &[path, v] : stats_)
-        v = 0;
-}
-
 } // namespace epic

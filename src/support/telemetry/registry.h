@@ -75,15 +75,12 @@ class StatsRegistry
      */
     std::vector<std::string> checkInvariants() const;
 
-    // ---- Serialization / reset ----
+    // ---- Serialization ----
     /**
      * Deterministic flat JSON object of the registry:
      * `{"a.b":1,"a.c":2}` in canonical path order.
      */
     std::string jsonObject() const;
-
-    /** Zero every value; registrations and invariants survive. */
-    void reset();
 
   private:
     std::map<std::string, int64_t> stats_;

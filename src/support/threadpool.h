@@ -2,16 +2,16 @@
  * @file
  * Work-queue thread pool driving EpicLab's two parallel tiers: the
  * per-function firewalled compilation inside compileProgram and the
- * workload x config fan-out in runSuite/runWorkload.
+ * prepare and run tasks of RunSet (driver/experiment.h).
  *
  * The design constraint is determinism, not raw throughput: parallel
  * runs must be *bit-identical* to serial ones. The pool therefore only
  * provides unordered execution of independent jobs; every caller
- * commits results into slots indexed by job id and merges them in index
- * order after wait(), so no output ever depends on the schedule.
+ * commits results into slots indexed by job id or run key, merged in
+ * a fixed order after wait(): no output depends on the schedule.
  *
- * Nesting rule: parallelFor() called from inside a pool worker runs the
- * body serially inline. Tiers compose without thread explosion — the
+ * Nesting rule: parallelFor() or RunSet called inside a pool worker
+ * runs serially inline. Tiers compose without thread explosion — the
  * outermost parallel tier owns the workers, inner tiers degrade to
  * loops — and the bound on live threads is exactly `jobs`.
  *

@@ -9,12 +9,15 @@
  * (an escape).
  *
  * Also covers the crash-safe fleet machinery end to end in-process:
- * a resumed suite run replays manifest records verbatim and assembles
- * an artifact byte-identical to the uninterrupted run.
+ * a resumed suite run, serial or parallel, replays manifest records
+ * verbatim and assembles an artifact byte-identical to the
+ * uninterrupted run.
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <map>
 #include <unistd.h>
 
 #include "driver/experiment.h"
@@ -312,6 +315,75 @@ TEST(ChaosTest, ResumeProfilesOnlyWorkloadsWithTasksLeft)
     EXPECT_EQ(profileRuns({Config::Gcc, Config::ONS}), 0);
     // Two tasks left share one profile run; the others replay.
     EXPECT_EQ(profileRuns(standardConfigs()), 1);
+}
+
+TEST(ChaosTest, ParallelResumeReplaysExactlyTheRecordedRuns)
+{
+    const std::string dir = tempDir();
+    const std::vector<Config> &configs = standardConfigs();
+    RunOptions opts = supervisedOpts();
+    opts.only = {"gzip", "mcf", "vortex"};
+
+    // Uninterrupted reference run at jobs 1.
+    RunManifest full;
+    EXPECT_EQ(full.open(dir + "/full.manifest", /*resume=*/false), 0u);
+    opts.manifest = &full;
+    const auto ref = runSuite(configs, opts);
+    ASSERT_EQ(ref.size(), 3u);
+    ASSERT_EQ(full.size(), 12u);
+    const std::string art = suiteArtifact(ref, configs, nullptr);
+
+    // The manifest of a fleet interrupted after every run of gzip and
+    // two of mcf's: the lines of those keys ("<workload>|<config>|...").
+    auto recorded = [](const std::string &w, Config cfg) {
+        return w == "164.gzip" ||
+               (w == "181.mcf" &&
+                (cfg == Config::Gcc || cfg == Config::IlpNs));
+    };
+    {
+        std::ifstream in(dir + "/full.manifest");
+        std::ofstream out(dir + "/part.manifest");
+        for (std::string line; std::getline(in, line);)
+            for (const WorkloadRuns &wr : ref)
+                for (Config cfg : configs)
+                    if (recorded(wr.name, cfg) &&
+                        line.find("\"key\":\"" + wr.name + "|" +
+                                  configName(cfg) + "|") !=
+                            std::string::npos)
+                        out << line << "\n";
+    }
+
+    // Resume at jobs 4: manifest records, stop checks and source
+    // release all run inside pool tasks that queue other tasks.
+    RunManifest part;
+    ASSERT_EQ(part.open(dir + "/part.manifest", /*resume=*/true), 6u);
+    RunOptions ropts = opts;
+    ropts.manifest = &part;
+    ropts.resume = true;
+    ropts.jobs = 4;
+    TraceRecorder &rec = TraceRecorder::global();
+    rec.enable();
+    const auto resumed = runSuite(configs, ropts);
+    rec.disable();
+    ASSERT_EQ(resumed.size(), 3u);
+    EXPECT_EQ(suiteArtifact(resumed, configs, nullptr), art);
+    for (const WorkloadRuns &wr : resumed)
+        for (const auto &[cfg, cr] : wr.by_config)
+            EXPECT_EQ(cr.resumed, recorded(wr.name, cfg))
+                << wr.name << " [" << configName(cfg) << "]";
+    EXPECT_EQ(part.size(), 12u); // the six runs left were recorded
+
+    // One profile run per workload with runs left: mcf and vortex.
+    std::map<std::string, int> profiled;
+    int profile_runs = 0;
+    for (const TraceRecorder::Event &e : rec.events()) {
+        if (e.cat == "experiment.phase" && e.name.rfind("profile ", 0) == 0)
+            ++profiled[e.name.substr(8)];
+        profile_runs += e.cat == "sim" && e.name == "profile-run";
+    }
+    EXPECT_EQ(profile_runs, 2);
+    EXPECT_EQ(profiled, (std::map<std::string, int>{{"181.mcf", 1},
+                                                    {"255.vortex", 1}}));
 }
 
 TEST(ChaosTest, ResumeIgnoresRecordsFromDifferentRunConfiguration)

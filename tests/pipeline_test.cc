@@ -362,6 +362,53 @@ TEST(PipelineTest, EachWorkloadIsProfiledOnce)
         EXPECT_TRUE(r.all_match) << r.name;
 }
 
+TEST(PipelineTest, SerialSuiteReportsEachWorkloadBeforeTheNextStarts)
+{
+    // At jobs 1 a workload's runs end and it is reported before the
+    // next workload's source run starts, so only one source is alive
+    // at a time and a caller can time the suite workload by workload.
+    RunOptions opts = trainOpts(1);
+    opts.only = {"gzip", "eon", "vortex"};
+    TraceRecorder &rec = TraceRecorder::global();
+    rec.enable();
+    std::vector<std::pair<std::string, double>> reports;
+    const std::vector<WorkloadRuns> suite =
+        runSuite(standardConfigs(), opts, [&](const WorkloadRuns &r) {
+            reports.emplace_back(r.name, rec.nowUs());
+        });
+    rec.disable();
+    ASSERT_EQ(suite.size(), 3u);
+    ASSERT_EQ(reports.size(), 3u);
+
+    // Per workload: its runs, when the last one ended, and when its
+    // source run started.
+    std::map<std::string, int> runs;
+    std::map<std::string, double> last_run_end, source_start;
+    for (const TraceRecorder::Event &e : rec.events()) {
+        if (e.cat == "experiment" && e.name.rfind("run ", 0) == 0) {
+            const std::string w = e.name.substr(4, e.name.find(" [") - 4);
+            ++runs[w];
+            last_run_end[w] = std::max(last_run_end[w], e.ts_us + e.dur_us);
+        } else if (e.cat == "experiment.phase" &&
+                   e.name.rfind("source-run ", 0) == 0) {
+            source_start[e.name.substr(11)] = e.ts_us;
+        }
+    }
+    for (size_t i = 0; i < reports.size(); ++i) {
+        const auto &[name, at] = reports[i];
+        EXPECT_EQ(name, suite[i].name);
+        EXPECT_EQ(runs[name], 4) << name;
+        EXPECT_LE(last_run_end[name], at)
+            << name << " was reported before its runs ended";
+        if (i + 1 < reports.size()) {
+            const std::string &next = reports[i + 1].first;
+            ASSERT_TRUE(source_start.count(next)) << next;
+            EXPECT_LE(at, source_start[next])
+                << next << " started before " << name << " was reported";
+        }
+    }
+}
+
 TEST(PipelineTest, SharedSourceProfiledOnAnotherInputDies)
 {
     const Workload *w = findWorkload("164.gzip");

@@ -35,11 +35,6 @@ TEST(TelemetryTest, RegistryScalarsAndDump)
     EXPECT_EQ(reg.getInt("missing"), 0);
     EXPECT_EQ(reg.jsonObject().find("missing"), std::string::npos);
     EXPECT_EQ(reg.jsonObject(), "{\"a.x\":7,\"a.y\":10}");
-
-    reg.reset();
-    EXPECT_EQ(reg.getInt("a.x"), 0);
-    // Registration survives reset.
-    EXPECT_EQ(reg.jsonObject(), "{\"a.x\":0,\"a.y\":0}");
 }
 
 TEST(TelemetryTest, RegistryDistribution)
